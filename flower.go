@@ -109,7 +109,11 @@
 // time and then append or aggregate through it allocation-free, under a
 // per-metric lock. Windowed statistics are answered by binary search plus
 // a single streaming pass over a zero-copy view; retention pruning is an
-// amortised head drop, never a copy of the surviving points. The map-keyed
+// amortised head drop, never a copy of the surviving points. Every flow in
+// a Registry keeps a 24 h metric history horizon (or twice its longest
+// controller window, if that is longer): a query reaching further back
+// returns the retained tail, and a month-old flow advances at the cost
+// and memory of a day-old one. The map-keyed
 // Put/GetStatistics calls remain as compatibility wrappers for callers
 // whose metric identity is per-request (HTTP queries, journal replay).
 // See API.md ("Metric store: handle-based hot path") for the performance

@@ -160,6 +160,10 @@ type Loop struct {
 	nextAt    time.Time
 	started   bool
 	decisions []Decision
+	// actions counts the decisions that changed the allocation (Applied
+	// with NewU != OldU), kept as Step records them so Actions is O(1)
+	// however long the history grows.
+	actions int
 
 	// uCont is the controller's continuous integrator state. The actuator
 	// may quantize to whole shards/VMs, but Eq. 6 integrates on the
@@ -226,16 +230,9 @@ func (l *Loop) SetDeadBand(b float64) {
 func (l *Loop) DeadBand() float64 { return l.cfg.DeadBand }
 
 // Actions reports how many applied (non-suppressed) resize actions the
-// loop has taken; the oscillation comparisons in E6 use it.
-func (l *Loop) Actions() int {
-	n := 0
-	for _, d := range l.decisions {
-		if d.Applied && d.NewU != d.OldU {
-			n++
-		}
-	}
-	return n
-}
+// loop has taken; the oscillation comparisons in E6 use it. It is a
+// running count, so its cost does not grow with the decision history.
+func (l *Loop) Actions() int { return l.actions }
 
 // Tick implements simtime.Ticker: it runs one control step whenever a full
 // window has elapsed since the previous one.
@@ -312,6 +309,9 @@ func (l *Loop) Step(now time.Time) {
 	if err := l.actuator.Set(now, next); err != nil {
 		d.Applied = false
 		d.Note = err.Error()
+	}
+	if d.Applied && d.NewU != d.OldU {
+		l.actions++
 	}
 	l.decisions = append(l.decisions, d)
 }

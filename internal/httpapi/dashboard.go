@@ -198,7 +198,7 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 		ro := row{ID: f.ID()}
 		f.View(func(m *core.Manager) {
 			ro.SimTime = m.Harness().Clock.Now().Format("2006-01-02 15:04:05")
-			ro.Ticks = m.Harness().Result().Ticks
+			ro.Ticks = m.Harness().Ticks()
 		})
 		ro.Pace, _, _ = f.Pacing()
 		data.Flows = append(data.Flows, ro)

@@ -159,7 +159,7 @@ func flowSummary(f *registry.Flow) apiv1.FlowSummary {
 		out.Name = m.Spec().Name
 		out.SimTime = h.Clock.Now()
 		out.Elapsed = h.Clock.Elapsed().String()
-		out.Ticks = h.Result().Ticks
+		out.Ticks = h.Ticks()
 	})
 	pace, _, running := f.Pacing()
 	out.Paced, out.Pace = running, pace

@@ -122,6 +122,9 @@ type Store struct {
 	onPut atomic.Pointer[func(id MetricID, t time.Time, v float64)]
 
 	keyPool sync.Pool // *keyScratch
+
+	// stripe is this store's stripe of the per-append telemetry counters.
+	stripe int
 }
 
 // entry is one metric's series plus its lock and reusable query scratch.
@@ -149,6 +152,7 @@ func NewStore() *Store {
 	s := &Store{
 		series: make(map[string]*entry),
 		alarms: make(map[string]*Alarm),
+		stripe: telAppends.Stripe(),
 	}
 	s.keyPool.New = func() any { return new(keyScratch) }
 	return s
@@ -159,6 +163,12 @@ func NewStore() *Store {
 // dropped lazily on insert. Zero disables pruning.
 func (s *Store) SetRetention(d time.Duration) {
 	s.retention.Store(int64(d))
+}
+
+// Retention returns the pruning window SetRetention set (0: keep
+// everything).
+func (s *Store) Retention() time.Duration {
+	return time.Duration(s.retention.Load())
 }
 
 // SetOnPut installs an observer invoked after every successful append with
@@ -232,7 +242,7 @@ func (s *Store) append(e *entry, t time.Time, v float64) error {
 	if ret := s.retention.Load(); ret > 0 {
 		copiedBefore := e.ts.Copied()
 		if dropped := e.ts.DropBefore(t.Add(-time.Duration(ret))); dropped > 0 {
-			telRetentionDropped.Add(uint64(dropped))
+			telRetentionDropped.AddAt(s.stripe, uint64(dropped))
 			if d := e.ts.Copied() - copiedBefore; d > 0 {
 				telCompactionCopied.Add(uint64(d))
 			}
@@ -242,7 +252,7 @@ func (s *Store) append(e *entry, t time.Time, v float64) error {
 		(*fn)(e.id, t, v)
 	}
 	e.mu.Unlock()
-	telAppends.Inc()
+	telAppends.AddAt(s.stripe, 1)
 	if tr != nil {
 		tr.AddAppend(telemetry.SinceNanos(traceStart))
 	}

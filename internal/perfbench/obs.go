@@ -34,9 +34,11 @@ func ObsSuite() []ObsBench {
 		{Name: "histogram_observe", MaxAllocs: 0, F: benchHistogramObserve},
 		{Name: "tracer_begin_unsampled", MaxAllocs: 0, F: benchTracerBeginUnsampled},
 		// The full hot write — Handle.Append on a warmed ring under
-		// retention, instruments included. Query-plane reads share the
-		// entry lock with this path, so the budget doubles as a guard
-		// that read-side changes never push allocations into the writer.
+		// retention, instruments included: every iteration adds to both
+		// striped store counters (appends and retention drops).
+		// Query-plane reads share the entry lock with this path, so the
+		// budget doubles as a guard that read-side changes never push
+		// allocations into the writer.
 		{Name: "handle_append_hot", MaxAllocs: 0, F: benchHandleAppendHot},
 		// The scheduler's worker drain loop — pop batch, execute, flush,
 		// re-queue — must also stay allocation-free: it runs once per batch

@@ -155,7 +155,7 @@ func RunSchedPaceBench(cfg PaceBenchConfig) (PaceBenchResult, error) {
 
 	ticks := -warmed // exclude the warm-up step each flow ran
 	for _, f := range reg.List() {
-		f.View(func(m *core.Manager) { ticks += m.Harness().Result().Ticks })
+		f.View(func(m *core.Manager) { ticks += m.Harness().Ticks() })
 	}
 	st := plane.Stats()
 	return PaceBenchResult{
@@ -258,7 +258,7 @@ func RunLegacyPaceBench(cfg PaceBenchConfig) (PaceBenchResult, error) {
 
 	ticks := -len(pacers) // exclude the warm-up step each flow ran
 	for _, p := range pacers {
-		ticks += p.mgr.Harness().Result().Ticks
+		ticks += p.mgr.Harness().Ticks()
 	}
 	return PaceBenchResult{
 		Name:           "pace_flows_legacy",

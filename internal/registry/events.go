@@ -66,15 +66,19 @@ type FlowPace struct {
 func (r *Registry) Events() *eventbus.Bus { return r.bus }
 
 // decisionMark snapshots how many decisions each control loop has
-// recorded, so the new ones an advance produced can be published after it.
-type decisionMark map[flow.LayerKind]int
+// recorded, indexed like sim.LoopKinds, so the new ones an advance
+// produced can be published after it. A fixed array: taking the mark on
+// every advance allocates nothing.
+type decisionMark [len(sim.LoopKinds)]int
 
 // markDecisions must run under f.mu.
 func markDecisions(m *core.Manager) decisionMark {
+	var marks decisionMark
 	loops := m.Harness().Loops
-	marks := make(decisionMark, len(loops))
-	for kind, loop := range loops {
-		marks[kind] = len(loop.Decisions())
+	for i, kind := range sim.LoopKinds {
+		if loop, ok := loops[kind]; ok {
+			marks[i] = len(loop.Decisions())
+		}
 	}
 	return marks
 }
@@ -83,13 +87,17 @@ func markDecisions(m *core.Manager) decisionMark {
 // the mark so they can be published outside the lock.
 func newDecisions(m *core.Manager, marks decisionMark) map[flow.LayerKind][]control.Decision {
 	var out map[flow.LayerKind][]control.Decision
-	for kind, loop := range m.Harness().Loops {
-		all := loop.Decisions()
-		if from := marks[kind]; len(all) > from {
+	loops := m.Harness().Loops
+	for i, kind := range sim.LoopKinds {
+		loop, ok := loops[kind]
+		if !ok {
+			continue
+		}
+		if all := loop.Decisions(); len(all) > marks[i] {
 			if out == nil {
 				out = make(map[flow.LayerKind][]control.Decision)
 			}
-			out[kind] = append([]control.Decision(nil), all[from:]...)
+			out[kind] = append([]control.Decision(nil), all[marks[i]:]...)
 		}
 	}
 	return out

@@ -62,6 +62,19 @@ var (
 	ErrDeleted  = errors.New("flow deleted")
 )
 
+// QueryHorizon is how much metric history a registry flow keeps: a day of
+// datapoints, which covers every dashboard and /v1 query window, so a
+// month-old flow's metric columns are no longer than a day-old one's. A
+// query reaching further back gets the retained tail.
+const QueryHorizon = 24 * time.Hour
+
+// retentionFor is the metric retention a flow's store needs: the query
+// horizon, floored at twice the history its controllers read back, so
+// that retention never changes a decision.
+func retentionFor(h *sim.Harness) time.Duration {
+	return max(QueryHorizon, 2*h.Lookback())
+}
+
 // MaxIDLength bounds flow identifiers so they stay usable as URL path
 // segments and log fields.
 const MaxIDLength = 64
@@ -364,7 +377,8 @@ func (f *Flow) PaceError() error {
 // appends the change to the WAL before applying it: a degraded WAL
 // refuses the tune with the loop untouched. Callers validate ranges
 // before calling; the registry only orders durability against
-// application.
+// application. A window change raises the flow's metric retention when the
+// new window needs more history than the store keeps.
 func (f *Flow) Tune(kind flow.LayerKind, ref, deadBand *float64, window *time.Duration) (found bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -385,6 +399,13 @@ func (f *Flow) Tune(kind flow.LayerKind, ref, deadBand *float64, window *time.Du
 	}
 	if window != nil {
 		loop.SetWindow(*window)
+		// A longer window may need more history than the store keeps.
+		// Retention only grows: history already pruned cannot come back,
+		// so a window raised past the horizon on a flow older than the
+		// horizon reads the retained tail until its history refills.
+		if store, need := f.mgr.Store(), retentionFor(f.mgr.Harness()); need > store.Retention() {
+			store.SetRetention(need)
+		}
 	}
 	if deadBand != nil {
 		loop.SetDeadBand(*deadBand)
@@ -468,6 +489,7 @@ func (r *Registry) Create(id string, spec flow.Spec, opts sim.Options) (*Flow, e
 	if err != nil {
 		return nil, err
 	}
+	mgr.Store().SetRetention(retentionFor(mgr.Harness()))
 	//flowervet:allow wallclock(flow creation timestamps are operator metadata, not simulation state)
 	f := &Flow{id: id, created: time.Now(), bus: r.bus, sched: r.sched, reg: r, opts: opts, mgr: mgr}
 

@@ -60,6 +60,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// LoopKinds lists every layer a harness can attach a control loop to, in
+// the order the loops are registered (and so step within one tick).
+var LoopKinds = [...]flow.LayerKind{flow.Ingestion, flow.Analytics, flow.Storage, flow.StorageReads}
+
 // Harness is one materialised flow under management.
 type Harness struct {
 	spec flow.Spec
@@ -319,7 +323,7 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 		h.predictive = newPredictiveProvisioner(h, opts.Predictive)
 		h.Scheduler.Register(h.predictive)
 	}
-	for _, kind := range []flow.LayerKind{flow.Ingestion, flow.Analytics, flow.Storage, flow.StorageReads} {
+	for _, kind := range LoopKinds {
 		if loop, ok := h.Loops[kind]; ok {
 			h.Scheduler.Register(loop)
 		}
@@ -574,6 +578,26 @@ func (h *Harness) Run(d time.Duration) (Result, error) {
 	h.Scheduler.RunFor(d)
 	return h.Result(), nil
 }
+
+// Lookback returns the longest stretch of metric history the harness's
+// own controllers read back at a decision: the longest loop window, and
+// the predictive provisioner's window and horizon when it is enabled. A
+// metric retention of at least this leaves every decision unchanged.
+func (h *Harness) Lookback() time.Duration {
+	var d time.Duration
+	for _, loop := range h.Loops {
+		d = max(d, loop.Window())
+	}
+	if h.predictive != nil {
+		d = max(d, h.predictive.opts.Window, h.predictive.opts.Horizon)
+	}
+	return d
+}
+
+// Ticks returns how many simulation steps have been accounted so far — the
+// Result field for readers that need only the count, without building a
+// whole Result.
+func (h *Harness) Ticks() int { return h.res.Ticks }
 
 // Result returns the cumulative result so far without advancing the
 // simulation (all zero before the first tick).

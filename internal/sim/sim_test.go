@@ -207,6 +207,9 @@ func TestResultsAccumulateAcrossRuns(t *testing.T) {
 	if r2.Ticks != 2*r1.Ticks {
 		t.Fatalf("ticks did not accumulate: %d then %d", r1.Ticks, r2.Ticks)
 	}
+	if h.Ticks() != r2.Ticks {
+		t.Fatalf("Ticks() = %d, Result().Ticks = %d", h.Ticks(), r2.Ticks)
+	}
 	if r2.Duration != 20*time.Minute {
 		t.Fatalf("duration = %v, want 20m", r2.Duration)
 	}

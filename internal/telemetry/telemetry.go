@@ -73,6 +73,48 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// stripeCount is how many stripes a StripedCounter spreads its count
+// over. Writers take stripes round-robin, so with more stripes than cores
+// two writers that run at once rarely share one.
+const stripeCount = 32
+
+// counterStripe fills a 64-byte cache line, so stripes never share one.
+type counterStripe struct {
+	v atomic.Uint64
+	_ [56]byte
+}
+
+// StripedCounter is a counter for a write path shared by many independent
+// writers, such as every metric store's append path: its count is spread
+// over cache-line-padded stripes, so writers on different stripes never
+// bounce one cache line between cores. A writer takes a stripe once
+// (Stripe) and adds through it (AddAt); Value sums the stripes, so reads
+// stay exact. The zero value is ready to use; all methods are safe for
+// concurrent use and allocation-free.
+type StripedCounter struct {
+	stripes [stripeCount]counterStripe
+	next    atomic.Uint32
+}
+
+// Stripe assigns the caller a stripe, round-robin, to pass to AddAt.
+func (c *StripedCounter) Stripe() int {
+	return int((c.next.Add(1) - 1) % stripeCount)
+}
+
+// AddAt adds n on the given stripe (a Stripe result).
+func (c *StripedCounter) AddAt(stripe int, n uint64) {
+	c.stripes[stripe%stripeCount].v.Add(n)
+}
+
+// Value returns the count summed over every stripe.
+func (c *StripedCounter) Value() uint64 {
+	var n uint64
+	for i := range c.stripes {
+		n += c.stripes[i].v.Load()
+	}
+	return n
+}
+
 // Gauge is an integer gauge (a level, not a rate). The zero value is
 // ready to use; all methods are allocation-free.
 type Gauge struct{ v atomic.Int64 }
@@ -203,6 +245,7 @@ type family struct {
 type child struct {
 	labelVals []string
 	counter   *Counter
+	striped   *StripedCounter // instead of counter, for StripedCounter families
 	gauge     *Gauge
 	hist      *Histogram
 }
@@ -324,7 +367,30 @@ func (r *Registry) familyFor(name, help string, kind Kind, labels []string, boun
 // Counter returns the registry's unlabeled counter with the given name,
 // creating it on first use.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.familyFor(name, help, KindCounter, nil, nil).get(nil).counter
+	c := r.familyFor(name, help, KindCounter, nil, nil).get(nil)
+	if c.counter == nil {
+		panic(fmt.Sprintf("telemetry: counter %s already registered as striped", name))
+	}
+	return c.counter
+}
+
+// StripedCounter returns the registry's unlabeled striped counter with the
+// given name, creating it on first use. It exposes as a plain counter.
+func (r *Registry) StripedCounter(name, help string) *StripedCounter {
+	f := r.familyFor(name, help, KindCounter, nil, nil)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	// An unlabeled family's only child has the empty key (see get).
+	if c := f.byKey[""]; c != nil {
+		if c.striped == nil {
+			panic(fmt.Sprintf("telemetry: counter %s already registered as plain", name))
+		}
+		return c.striped
+	}
+	c := &child{striped: new(StripedCounter)}
+	f.byKey[""] = c
+	f.order = append(f.order, c)
+	return c.striped
 }
 
 // CounterVec returns the labeled counter family with the given name.
@@ -429,7 +495,11 @@ func (r *Registry) Snapshot() Snapshot {
 			m := MetricSnapshot{LabelValues: c.labelVals}
 			switch f.kind {
 			case KindCounter:
-				m.Value = float64(c.counter.Value())
+				if c.striped != nil {
+					m.Value = float64(c.striped.Value())
+				} else {
+					m.Value = float64(c.counter.Value())
+				}
 			case KindGauge:
 				m.Value = float64(c.gauge.Value())
 			case KindHistogram:

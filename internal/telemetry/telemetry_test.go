@@ -316,3 +316,67 @@ func TestSinceNanos(t *testing.T) {
 		t.Fatalf("SinceNanos went backwards: %d", d)
 	}
 }
+
+func TestStripedCounterExactUnderConcurrency(t *testing.T) {
+	r := NewRegistry()
+	c := r.StripedCounter("appends_total", "appends")
+	if again := r.StripedCounter("appends_total", "appends"); again != c {
+		t.Fatal("StripedCounter is not get-or-create")
+	}
+	const writers, adds = 3 * stripeCount, 2000
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		stripe := c.Stripe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < adds; n++ {
+				c.AddAt(stripe, 1)
+				if n%500 == 0 {
+					_ = r.Snapshot()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const want = writers * adds
+	if got := c.Value(); got != want {
+		t.Fatalf("Value = %d, want %d", got, want)
+	}
+	if got := r.Snapshot().Find("appends_total").Metrics[0].Value; got != want {
+		t.Fatalf("snapshot value = %v, want %d", got, want)
+	}
+	// Writers took stripes round-robin, so every stripe carries load.
+	for i := range c.stripes {
+		if c.stripes[i].v.Load() == 0 {
+			t.Fatalf("stripe %d never written", i)
+		}
+	}
+}
+
+func TestStripedCounterAllocFree(t *testing.T) {
+	c := NewRegistry().StripedCounter("x_total", "")
+	stripe := c.Stripe()
+	if allocs := testing.AllocsPerRun(100, func() { c.AddAt(stripe, 3) }); allocs > 0 {
+		t.Fatalf("AddAt allocated %.1f/op, want 0", allocs)
+	}
+}
+
+func TestStripedCounterKindClashPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("plain_total", "")
+	r.StripedCounter("striped_total", "")
+	for name, register := range map[string]func(){
+		"striped over plain": func() { r.StripedCounter("plain_total", "") },
+		"plain over striped": func() { r.Counter("striped_total", "") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -66,6 +67,81 @@ func TestDropBeforeAmortisedCopyWork(t *testing.T) {
 	// And compaction does trigger (head returns to a bounded offset).
 	if h := Head(s); h >= s.Len() {
 		t.Fatalf("head %d grew past live region %d — compaction never ran", h, s.Len())
+	}
+}
+
+// binarySearchDropBefore is DropBefore as it was before the forward scan:
+// a binary search for the cutoff over the live region, then the same head
+// advance and compaction. It is the oracle for the scan.
+func binarySearchDropBefore(s *Series, t time.Time) int {
+	lo := s.head + sort.Search(len(s.times)-s.head, func(i int) bool { return s.times[s.head+i] >= unixNano(t) })
+	dropped := lo - s.head
+	if dropped <= 0 {
+		return 0
+	}
+	s.head = lo
+	if s.head >= compactMin && 2*s.head >= len(s.times) {
+		live := len(s.times) - s.head
+		copy(s.times, s.times[s.head:])
+		copy(s.vals, s.vals[s.head:])
+		s.times = s.times[:live]
+		s.vals = s.vals[:live]
+		s.copied += int64(live)
+		s.head = 0
+	}
+	return dropped
+}
+
+func cloneSeries(s *Series) *Series {
+	return &Series{
+		times:  append([]int64(nil), s.times...),
+		vals:   append([]float64(nil), s.vals...),
+		head:   s.head,
+		copied: s.copied,
+	}
+}
+
+// TestDropBeforeMatchesBinarySearch drives random series — repeated
+// timestamps included — through a random sequence of appends and drops,
+// with cutoffs before the head, inside the column, at the tail and beyond
+// it, and requires the forward scan to leave exactly the state the binary
+// search leaves.
+func TestDropBeforeMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		got, want := New(0), New(0)
+		var last int64
+		for op := 0; op < 200; op++ {
+			if rng.Intn(3) > 0 || got.Len() == 0 {
+				for n := rng.Intn(40); n >= 0; n-- {
+					last += int64(rng.Intn(3)) * int64(time.Second) // 0: a repeated timestamp
+					got.MustAppend(nanoTime(last), float64(op))
+					want.MustAppend(nanoTime(last), float64(op))
+				}
+				continue
+			}
+			first, tail := got.times[got.head], got.times[len(got.times)-1]
+			var cut int64
+			switch rng.Intn(5) {
+			case 0: // before the head
+				cut = first - int64(rng.Intn(5)+1)*int64(time.Second)
+			case 1: // exactly the head
+				cut = first
+			case 2: // inside the column
+				cut = first + rng.Int63n(tail-first+1)
+			case 3: // at the tail
+				cut = tail
+			default: // beyond the tail
+				cut = tail + int64(rng.Intn(5)+1)*int64(time.Second)
+			}
+			before := cloneSeries(got)
+			gd, wd := got.DropBefore(nanoTime(cut)), binarySearchDropBefore(want, nanoTime(cut))
+			if gd != wd || got.head != want.head || got.copied != want.copied ||
+				!slices.Equal(got.times, want.times) || !slices.Equal(got.vals, want.vals) {
+				t.Fatalf("trial %d: DropBefore(%d) on head %d of %d points: scan dropped %d (head %d), binary search %d (head %d)",
+					trial, cut, before.head, len(before.times), gd, got.head, wd, want.head)
+			}
+		}
 	}
 }
 

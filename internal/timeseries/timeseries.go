@@ -6,8 +6,8 @@
 // Storage is columnar — one int64 slice of unix-nano timestamps and one
 // float64 slice of values — so the per-tick append path writes two machine
 // words, window lookups are a binary search over a flat int64 slice, and
-// retention pruning is an amortised-O(1) head drop instead of a copy of the
-// surviving points. Read paths that do not need an owned copy use View, a
+// retention pruning is an amortised-O(1) forward scan and head drop
+// instead of a copy of the surviving points. Read paths that do not need an owned copy use View, a
 // zero-copy window over the columns.
 package timeseries
 
@@ -189,13 +189,20 @@ func (s *Series) TailN(n int) *Series {
 }
 
 // DropBefore discards every point with timestamp earlier than t and reports
-// how many were dropped. The cost is amortised O(1) per dropped point:
-// points are logically dropped by advancing a head offset, and the
-// surviving region is compacted to the front only once the dead prefix is
-// at least as large as the live region, so the total copy work over the
-// series' lifetime is bounded by the total number of appends.
+// how many were dropped. The cost is amortised O(1) per dropped point. The
+// cutoff is found by scanning forward from the head, one comparison per
+// dropped point plus one: a steady retention window drops about one point
+// per append, so this beats a binary search over the whole column. Points
+// are logically dropped by advancing a head offset, and the surviving
+// region is compacted to the front only once the dead prefix is at least
+// as large as the live region, so the total copy work over the series'
+// lifetime is bounded by the total number of appends.
 func (s *Series) DropBefore(t time.Time) int {
-	lo := s.search(unixNano(t))
+	tn := unixNano(t)
+	lo := s.head
+	for lo < len(s.times) && s.times[lo] < tn {
+		lo++
+	}
 	dropped := lo - s.head
 	if dropped <= 0 {
 		return 0
