@@ -102,12 +102,13 @@
 // # Metric pipeline
 //
 // The metric store at the centre of every flow (internal/metricstore, the
-// CloudWatch analogue of Fig. 3) is columnar and handle-based: series are
-// stored as parallel int64 unix-nano / float64 columns, and hot-path
-// callers — per-tick publishers in the simulated substrates, control-loop
-// sensors, SLO accounting — resolve a *metricstore.Handle once at build
-// time and then append or aggregate through it allocation-free, under a
-// per-metric lock. Windowed statistics are answered by binary search plus
+// CloudWatch analogue of Fig. 3) is columnar and interned: metrics are
+// stored as frames, float64 value columns sharing one int64 unix-nano time
+// column under one lock. Each simulated substrate publishes its per-tick
+// measurements as one row (a *metricstore.Row: one timestamp, one value
+// per metric, one lock), and readers — control-loop sensors, SLO
+// accounting — resolve a *metricstore.Handle once at build time and
+// aggregate through it allocation-free. Windowed statistics are answered by binary search plus
 // a single streaming pass over a zero-copy view; retention pruning is an
 // amortised head drop, never a copy of the surviving points. Every flow in
 // a Registry keeps a 24 h metric history horizon (or twice its longest
@@ -211,9 +212,9 @@
 // driver plus go/parser and go/types — no dependencies) with five
 // analyzers: lockorder (the whole-program acquired-while-held lock
 // graph must stay acyclic and respect the documented orders), hotpath
-// (per-tick packages must use build-time metric handles — no map-keyed
-// store wrappers, no handle resolution or MetricID construction in
-// loops), wallclock (time.Now/Sleep/timers are banned outside simtime,
+// (per-tick packages must use build-time metric handles and rows — no
+// map-keyed store wrappers, no handle or row resolution or MetricID
+// construction in loops), wallclock (time.Now/Sleep/timers are banned outside simtime,
 // perfbench, telemetry, commands, examples and tests — the simulation is
 // single-clocked and wall time belongs to the packages that measure it),
 // stopleak (every created Scheduler, Ticket,

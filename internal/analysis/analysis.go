@@ -18,13 +18,13 @@
 //   - lockorder: derives the acquired-while-held lock graph from
 //     Lock/RLock/Unlock patterns (propagated through module-internal
 //     static calls) and fails on cycles or violations of the documented
-//     order — metricstore store-lock before entry-lock, registry pacerMu
+//     order — metricstore store-lock before frame-lock, registry pacerMu
 //     before the flow lock, and never a registry lock while holding a
 //     scheduler shard or job lock.
 //   - hotpath: packages on the per-tick path may not call the map-keyed
 //     metricstore compatibility wrappers (Put/MustPut/GetStatistics/
-//     Latest/Raw) nor resolve handles or build metric identities inside
-//     loops — Handle/Lookup at build time only.
+//     Latest/Raw) nor resolve handles or rows or build metric identities
+//     inside loops — Handle/Row/Lookup at build time only.
 //   - wallclock: bans time.Now/Sleep/After/Since/... outside simtime,
 //     perfbench, cmd/*, examples/* and test files — scheduler-driven code
 //     takes time from the virtual clock or its tick callback.

@@ -5,13 +5,13 @@ import (
 	"go/types"
 )
 
-// hotPath enforces the metric plane's two-tier API split on the packages
-// that publish or read metrics every simulation tick. The handle tier
-// (Store.Handle/Lookup once at build time, Handle.Append/Stat/... per
-// tick) is allocation-free; the map-keyed compatibility wrappers rebuild
-// the canonical key from the dimension map on every call. One wrapper
-// call inside a tick is invisible in tests and a steady allocation+lock
-// tax at a million flows — the exact hot/cold separation Polynesia
+// hotPath enforces the metric plane's API split on the packages that
+// publish or read metrics every simulation tick. The interned tiers
+// (Store.Row/Handle/Lookup once at build time, Row.Append and
+// Handle.Append/Stat/... per tick) are allocation-free; the map-keyed
+// compatibility wrappers rebuild the canonical key from the dimension map
+// on every call. One wrapper call inside a tick is invisible in tests and
+// a steady allocation+lock tax at a million flows — the exact hot/cold separation Polynesia
 // argues must be enforced, not hoped for.
 type hotPath struct{}
 
@@ -20,13 +20,13 @@ func newHotPath() *hotPath { return &hotPath{} }
 func (*hotPath) Name() string { return "hotpath" }
 
 func (*hotPath) Doc() string {
-	return "per-tick packages may not call map-keyed metricstore wrappers nor resolve handles / build MetricIDs inside loops — Handle/Lookup at build time only"
+	return "per-tick packages may not call map-keyed metricstore wrappers nor resolve handles or rows / build MetricIDs inside loops — Handle/Row/Lookup at build time only"
 }
 
 // hotPathPackages are the packages on the per-tick path: every simulated
 // platform publisher plus the control loop and the simulation harness
 // that drives them — and the query engine, whose executor runs under
-// entry locks while pacers append, so per-row resolution or map-keyed
+// frame locks while pacers append, so per-row resolution or map-keyed
 // reads there would stall every writer.
 var hotPathPackages = map[string]bool{
 	"repro/internal/stream":   true,
@@ -46,10 +46,12 @@ var storeWrappers = map[string]bool{
 	"Latest": true, "Raw": true,
 }
 
-// storeResolvers intern a metric identity; legal on the hot path only
-// outside loops (resolve once, then append/read through the handle).
+// storeResolvers intern metric identities; legal on the hot path only
+// outside loops (resolve once, then append/read through the handle or
+// row).
 var storeResolvers = map[string]bool{
 	"Handle": true, "MustHandle": true, "Lookup": true,
+	"Row": true, "MustRow": true,
 }
 
 const metricstorePath = "repro/internal/metricstore"
@@ -114,7 +116,7 @@ func (a *hotPath) checkCall(p *Pass, call *ast.CallExpr, loopDepth int) {
 	case storeWrappers[name]:
 		p.Reportf(call.Pos(), "map-keyed Store.%s on the per-tick path rebuilds the metric key every call — resolve a Handle at build time and use Handle.Append/Stat/Window instead", name)
 	case loopDepth > 0:
-		p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles are build-time references; resolve once outside the loop and reuse", name)
+		p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles and rows are build-time references; resolve once outside the loop and reuse", name)
 		a.flagKeyBuilding(p, call.Args)
 	}
 }

@@ -37,3 +37,15 @@ func IDsPerTick(keys []string) []metricstore.MetricID {
 	}
 	return out
 }
+
+// RowsPerTick interns a row per iteration instead of once at build time.
+func RowsPerTick(s *metricstore.Store, streams []string) int {
+	n := 0
+	for _, name := range streams {
+		if _, err := s.Row("Ingestion/Stream", map[string]string{"StreamName": "s-" + name}, "IncomingRecords"); err == nil { // want "Store.Row inside a loop" "string concatenation"
+			n++
+		}
+		s.MustRow("Analytics/Compute", nil, fmt.Sprintf("m-%s", name)) // want "Store.MustRow inside a loop" "fmt.Sprintf builds part of a metric identity"
+	}
+	return n
+}

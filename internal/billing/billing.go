@@ -87,14 +87,10 @@ func (f AllocationFunc) Allocation() Allocation { return f() }
 type Meter struct {
 	prices PriceBook
 	src    AllocationReader
-	ms     *metricstore.Store
-	dims   map[string]string
 
-	// Per-tick publish handles, resolved once at construction (nil when ms
-	// is nil).
-	mTickCost *metricstore.Handle
-	mCumCost  *metricstore.Handle
-	mRunRate  *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// (nil when there is no store).
+	metrics *metricstore.Row
 
 	total float64
 	peak  float64 // highest hourly run rate observed
@@ -111,13 +107,10 @@ func NewMeter(prices PriceBook, src AllocationReader, ms *metricstore.Store) (*M
 	m := &Meter{
 		prices: prices,
 		src:    src,
-		ms:     ms,
-		dims:   map[string]string{"Meter": "flow"},
 	}
 	if ms != nil {
-		m.mTickCost = ms.MustHandle(Namespace, MetricTickCost, m.dims)
-		m.mCumCost = ms.MustHandle(Namespace, MetricCumulativeCost, m.dims)
-		m.mRunRate = ms.MustHandle(Namespace, MetricRunRate, m.dims)
+		m.metrics = ms.MustRow(Namespace, map[string]string{"Meter": "flow"},
+			MetricTickCost, MetricCumulativeCost, MetricRunRate)
 	}
 	return m, nil
 }
@@ -139,9 +132,7 @@ func (m *Meter) Tick(now time.Time, step time.Duration) {
 	if rate > m.peak {
 		m.peak = rate
 	}
-	if m.ms != nil {
-		m.mTickCost.MustAppend(now, cost)
-		m.mCumCost.MustAppend(now, m.total)
-		m.mRunRate.MustAppend(now, rate)
+	if m.metrics != nil {
+		m.metrics.MustAppend(now, cost, m.total, rate)
 	}
 }

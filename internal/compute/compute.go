@@ -186,18 +186,12 @@ type Cluster struct {
 	source Source
 	sink   Sink
 
-	store *metricstore.Store
-	dims  map[string]string
-	rng   *rand.Rand
+	rng *rand.Rand
 
-	// Per-tick publish handles, resolved once at construction so Tick's
-	// metric writes are allocation-free (nil when store is nil).
-	mCPU       *metricstore.Handle
-	mProcessed *metricstore.Handle
-	mPending   *metricstore.Handle
-	mVMs       *metricstore.Handle
-	mLatency   *metricstore.Handle
-	mEmitted   *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// so Tick's metric writes are one allocation-free row append (nil when
+	// there is no store).
+	metrics *metricstore.Row
 
 	lastUtil float64 // last published CPU utilisation (pre-noise)
 }
@@ -237,17 +231,12 @@ func NewCluster(cfg Config, source Source, sink Sink, store *metricstore.Store) 
 		vms:    cfg.InitialVMs,
 		source: source,
 		sink:   sink,
-		store:  store,
-		dims:   map[string]string{"Topology": cfg.Topology.Name},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if store != nil {
-		c.mCPU = store.MustHandle(Namespace, MetricCPUUtilization, c.dims)
-		c.mProcessed = store.MustHandle(Namespace, MetricProcessedTuples, c.dims)
-		c.mPending = store.MustHandle(Namespace, MetricPendingTuples, c.dims)
-		c.mVMs = store.MustHandle(Namespace, MetricVMCount, c.dims)
-		c.mLatency = store.MustHandle(Namespace, MetricLatencyMs, c.dims)
-		c.mEmitted = store.MustHandle(Namespace, MetricEmittedTuples, c.dims)
+		c.metrics = store.MustRow(Namespace, map[string]string{"Topology": cfg.Topology.Name},
+			MetricCPUUtilization, MetricProcessedTuples, MetricPendingTuples, MetricVMCount,
+			MetricLatencyMs, MetricEmittedTuples)
 	}
 	return c, nil
 }
@@ -375,7 +364,7 @@ func (c *Cluster) Tick(now time.Time, step time.Duration) {
 		latency = c.cfg.BaseLatencyMs*100 + float64(c.queue)/math.Max(procRate, 1e-9)*1000
 	}
 
-	if c.store != nil {
+	if c.metrics != nil {
 		measured := util
 		if c.cfg.CPUNoiseStd > 0 {
 			measured += c.rng.NormFloat64() * c.cfg.CPUNoiseStd
@@ -386,11 +375,7 @@ func (c *Cluster) Tick(now time.Time, step time.Duration) {
 				measured = 100
 			}
 		}
-		c.mCPU.MustAppend(now, measured)
-		c.mProcessed.MustAppend(now, float64(processed))
-		c.mPending.MustAppend(now, float64(c.queue))
-		c.mVMs.MustAppend(now, float64(c.vms))
-		c.mLatency.MustAppend(now, latency)
-		c.mEmitted.MustAppend(now, float64(emitted))
+		c.metrics.MustAppend(now, measured, float64(processed), float64(c.queue), float64(c.vms),
+			latency, float64(emitted))
 	}
 }

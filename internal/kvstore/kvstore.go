@@ -85,20 +85,10 @@ type Table struct {
 
 	stepSeconds float64
 
-	store *metricstore.Store
-	dims  map[string]string
-
-	// Per-tick publish handles, resolved once at construction so Tick's
-	// metric writes are allocation-free (nil when store is nil).
-	mConsumedWCU    *metricstore.Handle
-	mConsumedRCU    *metricstore.Handle
-	mProvisionedWCU *metricstore.Handle
-	mProvisionedRCU *metricstore.Handle
-	mWriteThrottles *metricstore.Handle
-	mReadThrottles  *metricstore.Handle
-	mWriteUtil      *metricstore.Handle
-	mReadUtil       *metricstore.Handle
-	mItemCount      *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// so Tick's metric writes are one allocation-free row append (nil when
+	// there is no store).
+	metrics *metricstore.Row
 }
 
 // Config parameterises a table.
@@ -154,19 +144,12 @@ func NewTable(cfg Config, store *metricstore.Store) (*Table, error) {
 		maxRCU:      cfg.MaxRCU,
 		items:       make(map[string][]byte),
 		stepSeconds: 1,
-		store:       store,
-		dims:        map[string]string{"TableName": cfg.Name},
 	}
 	if store != nil {
-		t.mConsumedWCU = store.MustHandle(Namespace, MetricConsumedWCU, t.dims)
-		t.mConsumedRCU = store.MustHandle(Namespace, MetricConsumedRCU, t.dims)
-		t.mProvisionedWCU = store.MustHandle(Namespace, MetricProvisionedWCU, t.dims)
-		t.mProvisionedRCU = store.MustHandle(Namespace, MetricProvisionedRCU, t.dims)
-		t.mWriteThrottles = store.MustHandle(Namespace, MetricThrottledWrites, t.dims)
-		t.mReadThrottles = store.MustHandle(Namespace, MetricThrottledReads, t.dims)
-		t.mWriteUtil = store.MustHandle(Namespace, MetricWriteUtilization, t.dims)
-		t.mReadUtil = store.MustHandle(Namespace, MetricReadUtilization, t.dims)
-		t.mItemCount = store.MustHandle(Namespace, MetricItemCount, t.dims)
+		t.metrics = store.MustRow(Namespace, map[string]string{"TableName": cfg.Name},
+			MetricConsumedWCU, MetricConsumedRCU, MetricProvisionedWCU, MetricProvisionedRCU,
+			MetricThrottledWrites, MetricThrottledReads, MetricWriteUtilization, MetricReadUtilization,
+			MetricItemCount)
 	}
 	if cfg.Partitions > 1 {
 		if err := t.SetPartitions(cfg.Partitions); err != nil {
@@ -328,16 +311,10 @@ func (t *Table) Tick(now time.Time, step time.Duration) {
 		readUtil = t.tickRCU / readBudget * 100
 	}
 
-	if t.store != nil {
-		t.mConsumedWCU.MustAppend(now, t.tickWCU)
-		t.mConsumedRCU.MustAppend(now, t.tickRCU)
-		t.mProvisionedWCU.MustAppend(now, t.wcu)
-		t.mProvisionedRCU.MustAppend(now, t.rcu)
-		t.mWriteThrottles.MustAppend(now, float64(t.tickWriteThrottle))
-		t.mReadThrottles.MustAppend(now, float64(t.tickReadThrottle))
-		t.mWriteUtil.MustAppend(now, writeUtil)
-		t.mReadUtil.MustAppend(now, readUtil)
-		t.mItemCount.MustAppend(now, float64(len(t.items)))
+	if t.metrics != nil {
+		t.metrics.MustAppend(now, t.tickWCU, t.tickRCU, t.wcu, t.rcu,
+			float64(t.tickWriteThrottle), float64(t.tickReadThrottle), writeUtil, readUtil,
+			float64(len(t.items)))
 	}
 
 	// Bank unused capacity, capped at BurstSeconds worth of provision.

@@ -8,19 +8,21 @@ import (
 
 // Handle is an interned reference to one metric's series. Resolving a
 // handle pays the key construction and map lookup once; every operation on
-// the handle afterwards synchronises only on that metric's lock and
-// performs no per-call key work or allocation, which is what keeps the
-// per-tick publish/sense path flat no matter how many metrics the store
-// holds. Handles are safe for concurrent use and remain valid for the life
-// of the store.
+// the handle afterwards synchronises only on the lock of the frame holding
+// the metric and performs no per-call key work or allocation, which is
+// what keeps the per-tick publish/sense path flat no matter how many
+// metrics the store holds. Handles are safe for concurrent use and remain
+// valid for the life of the store.
 type Handle struct {
 	s *Store
 	e *entry
 }
 
-// Handle interns the metric (creating its series if absent) and returns
-// the hot-path reference to it. Components that publish or read the same
-// metric every tick should call this once at build time.
+// Handle interns the metric (creating it as a one-column frame if absent)
+// and returns the hot-path reference to it. Components that publish or
+// read the same metric every tick should call this once at build time.
+// For a column of an existing row, the handle reads the column and its
+// Append is rejected.
 func (s *Store) Handle(namespace, name string, dims map[string]string) (*Handle, error) {
 	e, err := s.entryFor(namespace, name, dims)
 	if err != nil {
@@ -57,9 +59,10 @@ func (h *Handle) ID() MetricID { return h.e.id }
 
 // Append records one observation; the timestamp must not precede the
 // metric's newest datapoint. Retention pruning and the journal hook run
-// exactly as for Store.Put.
+// exactly as for Store.Put. It returns an error, and stores nothing, for a
+// column of a multi-column row.
 func (h *Handle) Append(t time.Time, v float64) error {
-	return h.s.append(h.e, t, v)
+	return h.s.appendOne(h.e, t, v)
 }
 
 // MustAppend is Append for publishers that own the clock.
@@ -71,30 +74,30 @@ func (h *Handle) MustAppend(t time.Time, v float64) {
 
 // Latest returns the metric's most recent datapoint.
 func (h *Handle) Latest() (timeseries.Point, bool) {
-	h.e.mu.Lock()
-	defer h.e.mu.Unlock()
-	return h.e.ts.Last()
+	h.e.f.mu.Lock()
+	defer h.e.f.mu.Unlock()
+	return h.e.f.fr.Last(h.e.col)
 }
 
 // Len reports the number of retained datapoints.
 func (h *Handle) Len() int {
-	h.e.mu.Lock()
-	defer h.e.mu.Unlock()
-	return h.e.ts.Len()
+	h.e.f.mu.Lock()
+	defer h.e.f.mu.Unlock()
+	return h.e.f.fr.Len()
 }
 
 // Stat computes one statistic over the raw datapoints in [from, to) in a
 // single pass, without materialising the window; a zero to means "through
 // the newest datapoint". n reports how many points the window held (the
 // statistic is NaN when n is 0, except count and sum). Percentile
-// statistics sort into the entry's reusable scratch, so the steady state
+// statistics sort into the frame's reusable scratch, so the steady state
 // allocates nothing.
 func (h *Handle) Stat(from, to time.Time, stat timeseries.Agg) (v float64, n int) {
 	e := h.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	w := e.ts.View(from, e.resolveTo(to))
-	return w.Aggregate(stat, &e.scratch), w.Len()
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
+	w := e.view(from, to)
+	return w.Aggregate(stat, &e.f.scratch), w.Len()
 }
 
 // WindowQuery selects datapoints for Handle.Window: the half-open interval
@@ -113,17 +116,17 @@ func (h *Handle) Window(q WindowQuery) *timeseries.Series {
 }
 
 // ViewWindow runs fn with a zero-copy view of the datapoints in [from, to)
-// — a zero to means "through the newest datapoint" — plus the entry's
-// reusable percentile scratch, all under the metric's lock. This is the
+// — a zero to means "through the newest datapoint" — plus the frame's
+// reusable percentile scratch, all under the metric's frame lock. This is the
 // query engine's evaluation hook: an operator chain streams over the view
 // in place and materialises only its (usually much smaller) output. fn
 // must not retain the view or the scratch past the call, and must not call
 // back into the store for the same metric.
 func (h *Handle) ViewWindow(from, to time.Time, fn func(v timeseries.View, sc *timeseries.AggScratch)) {
 	e := h.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fn(e.ts.View(from, e.resolveTo(to)), &e.scratch)
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
+	fn(e.view(from, to), &e.f.scratch)
 }
 
 // WindowValues appends the raw values in [from, to) to dst and returns the
@@ -132,7 +135,7 @@ func (h *Handle) ViewWindow(from, to time.Time, fn func(v timeseries.View, sc *t
 // materialising Raw/Between/Values chains per poll.
 func (h *Handle) WindowValues(from, to time.Time, dst []float64) []float64 {
 	e := h.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ts.View(from, e.resolveTo(to)).CopyValues(dst)
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
+	return e.view(from, to).CopyValues(dst)
 }

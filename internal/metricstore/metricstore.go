@@ -9,18 +9,29 @@
 // (Fig. 3): "Flower's sensor module periodically collects live data from
 // multiple sources such as CloudWatch".
 //
-// The store has two API tiers. The hot path is handle-based: Store.Handle
-// interns a metric's identity once and returns a *Handle whose Append,
-// Latest, Stat and Window operate under that metric's own lock with no
-// per-call key construction — per-tick publishers and sensors resolve their
-// handles at build time and stay allocation-free afterwards. The map-keyed
-// Put/GetStatistics calls remain as compatibility wrappers that rebuild the
-// key per call (into a pooled scratch buffer) and then take the same
-// per-entry path (the Latest/Raw wrappers are gone: readers go through
-// Lookup); the store-level lock is only ever held to create or look up
-// entries, never while touching series data. The hotpath analyzer in
-// internal/analysis machine-checks that per-tick packages stay on the
-// handle tier.
+// Storage is a set of frames (timeseries.Frame): value columns sharing one
+// time column, each frame under one lock. Every metric is one column of a
+// frame, and every read takes that frame's lock and a zero-copy view of
+// the metric's column.
+//
+// The write API has two tiers, both interned once at build time:
+//
+//   - Rows. Store.Row interns a publisher's per-tick metrics as one frame
+//     and returns a *Row whose Append writes one timestamp and one value
+//     per metric under one lock. Every simulated substrate publishes this
+//     way. A single-value append to one column of a multi-column row is
+//     rejected, because it would leave the row's columns unequal.
+//   - Handles. Store.Handle interns one metric as a one-column frame and
+//     returns a *Handle whose Append, Latest, Stat and Window need no
+//     per-call key work. A Handle to a row column (from Row.Handle,
+//     Store.Handle or Lookup) reads it like any other metric.
+//
+// The map-keyed Put/GetStatistics calls remain as compatibility wrappers
+// that rebuild the key per call (into a pooled scratch buffer) and then
+// take the handle path; the store-level lock is only ever held to create
+// or look up entries, never while touching series data. The hotpath
+// analyzer in internal/analysis machine-checks that per-tick packages stay
+// on the interned tiers.
 package metricstore
 
 import (
@@ -108,8 +119,8 @@ type Query struct {
 
 // Store is the metric repository. It is safe for concurrent use: entry
 // creation takes the store lock, while appends and queries synchronise on
-// the individual metric's lock, so writers of different metrics never
-// contend.
+// the lock of the frame holding the metric, so writers of different frames
+// never contend.
 type Store struct {
 	mu     sync.RWMutex
 	series map[string]*entry
@@ -127,24 +138,48 @@ type Store struct {
 	stripe int
 }
 
-// entry is one metric's series plus its lock and reusable query scratch.
+// entry is one metric: a column of a frame.
 type entry struct {
-	id MetricID
+	id  MetricID
+	f   *frame
+	col int
+}
 
+// frame is the unit of storage and locking: one or more metrics as value
+// columns over a shared time column. A Handle or Put metric is a
+// one-column frame; a Row is a frame of its named metrics.
+type frame struct {
 	mu      sync.Mutex
-	ts      *timeseries.Series
+	fr      *timeseries.Frame
+	ids     []MetricID            // column identities, in column order
 	scratch timeseries.AggScratch // percentile sort buffer, guarded by mu
 }
 
+// String names the frame in errors: its metric, or a row's first metric
+// and width.
+func (f *frame) String() string {
+	if len(f.ids) == 1 {
+		return f.ids[0].String()
+	}
+	return fmt.Sprintf("row %s (+%d metrics)", f.ids[0], len(f.ids)-1)
+}
+
+// capacityHint presizes every frame's columns.
+const capacityHint = 1024
+
+func newFrame(ids []MetricID) *frame {
+	return &frame{fr: timeseries.NewFrame(len(ids), capacityHint), ids: ids}
+}
+
 // published reports whether the metric has any datapoints yet. Handles
-// intern a metric's identity at build time, before its publisher has
-// ticked; the read surface (queries, listings, lookups) treats such
+// and rows intern metric identities at build time, before their publisher
+// has ticked; the read surface (queries, listings, lookups) treats such
 // not-yet-published entries as absent, exactly as when entries were only
 // created on first Put.
 func (e *entry) published() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ts.Len() > 0
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
+	return e.f.fr.Len() > 0
 }
 
 // NewStore returns an empty store that retains all datapoints.
@@ -171,11 +206,12 @@ func (s *Store) Retention() time.Duration {
 	return time.Duration(s.retention.Load())
 }
 
-// SetOnPut installs an observer invoked after every successful append with
-// the stored metric's canonical ID — the hook internal/persist uses to
-// journal the metric stream durably. The observer runs under the metric's
-// entry lock, so appends of one metric reach it in order; it must not call
-// back into the store. Pass nil to remove it.
+// SetOnPut installs an observer invoked after every successful append,
+// once per stored value with that metric's canonical ID — the hook
+// internal/persist uses to journal the metric stream durably. A row
+// append calls it once per column, in column order. The observer runs
+// under the frame lock, so appends of one metric reach it in order; it
+// must not call back into the store. Pass nil to remove it.
 func (s *Store) SetOnPut(fn func(id MetricID, t time.Time, v float64)) {
 	if fn == nil {
 		s.onPut.Store(nil)
@@ -197,8 +233,8 @@ func (s *Store) lookup(ns, name string, dims map[string]string) *entry {
 }
 
 // entryFor finds or creates the entry for the metric. Only a first-time
-// creation allocates (the interned key string and a defensive copy of the
-// dimension map) or takes the store's write lock.
+// creation allocates (the interned key string, a defensive copy of the
+// dimension map and a one-column frame) or takes the store's write lock.
 func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error) {
 	if ns == "" || name == "" {
 		return nil, fmt.Errorf("metricstore: namespace and name are required")
@@ -206,78 +242,103 @@ func (s *Store) entryFor(ns, name string, dims map[string]string) (*entry, error
 	if e := s.lookup(ns, name, dims); e != nil {
 		return e, nil
 	}
-	// Copy dims so callers can reuse their map.
-	cp := make(map[string]string, len(dims))
-	for k, v := range dims {
-		cp[k] = v
-	}
-	id := MetricID{Namespace: ns, Name: name, Dimensions: cp}
+	id := MetricID{Namespace: ns, Name: name, Dimensions: copyDims(dims)}
 	key := id.Key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.series[key]; ok {
 		return e, nil
 	}
-	e := &entry{id: id, ts: timeseries.New(1024)}
+	e := &entry{id: id, f: newFrame([]MetricID{id})}
 	s.series[key] = e
 	telEntries.Inc()
 	return e, nil
 }
 
-// append records one observation under the entry's lock: ordered append,
-// amortised retention pruning, and the journal hook. The telemetry at the
-// bottom is hot-path safe: an atomic counter add, and trace timing only
-// when a sampled tick trace is live (one atomic pointer load otherwise).
-func (s *Store) append(e *entry, t time.Time, v float64) error {
+// copyDims copies dims so callers can reuse their map.
+func copyDims(dims map[string]string) map[string]string {
+	cp := make(map[string]string, len(dims))
+	for k, v := range dims {
+		cp[k] = v
+	}
+	return cp
+}
+
+// appendOne records a single value for the metric e. It is the Handle and
+// Put path, and it refuses a column of a multi-column row: a lone value
+// would leave the row's columns unequal.
+func (s *Store) appendOne(e *entry, t time.Time, v float64) error {
+	if w := e.f.fr.Width(); w > 1 {
+		return fmt.Errorf("metricstore: put %s: the metric is a column of a %d-metric row; append through its Row", e.id, w)
+	}
+	return s.appendRow(e.f, t, []float64{v})
+}
+
+// appendRow records one row — a timestamp and one value per column —
+// under the frame's lock: ordered append, amortised retention pruning,
+// and the journal hook once per value. Both store counters count values.
+// The telemetry at the bottom is hot-path safe: an atomic counter add,
+// and trace timing only when a sampled tick trace is live (one atomic
+// pointer load otherwise).
+func (s *Store) appendRow(f *frame, t time.Time, vs []float64) error {
 	var traceStart time.Time
 	tr := telemetry.Traces.Active()
 	if tr != nil {
 		traceStart = telemetry.Now()
 	}
-	e.mu.Lock()
-	if err := e.ts.Append(t, v); err != nil {
-		e.mu.Unlock()
-		return fmt.Errorf("metricstore: put %s: %w", e.id, err)
+	f.mu.Lock()
+	if err := f.fr.Append(t, vs...); err != nil {
+		f.mu.Unlock()
+		return fmt.Errorf("metricstore: put %s: %w", f, err)
 	}
+	width := uint64(len(vs))
 	if ret := s.retention.Load(); ret > 0 {
-		copiedBefore := e.ts.Copied()
-		if dropped := e.ts.DropBefore(t.Add(-time.Duration(ret))); dropped > 0 {
-			telRetentionDropped.AddAt(s.stripe, uint64(dropped))
-			if d := e.ts.Copied() - copiedBefore; d > 0 {
-				telCompactionCopied.Add(uint64(d))
+		copiedBefore := f.fr.Copied()
+		if dropped := f.fr.DropBefore(t.Add(-time.Duration(ret))); dropped > 0 {
+			telRetentionDropped.AddAt(s.stripe, uint64(dropped)*width)
+			if d := f.fr.Copied() - copiedBefore; d > 0 {
+				telCompactionCopied.Add(uint64(d) * width)
 			}
 		}
 	}
 	if fn := s.onPut.Load(); fn != nil {
-		(*fn)(e.id, t, v)
+		for i, v := range vs {
+			(*fn)(f.ids[i], t, v)
+		}
 	}
-	e.mu.Unlock()
-	telAppends.AddAt(s.stripe, 1)
+	f.mu.Unlock()
+	telAppends.AddAt(s.stripe, width)
 	if tr != nil {
-		tr.AddAppend(telemetry.SinceNanos(traceStart))
+		tr.AddAppend(len(vs), telemetry.SinceNanos(traceStart))
 	}
 	return nil
 }
 
 // resolveTo implements the shared open-ended-window rule — a zero to
 // means "through the newest datapoint" — for every windowed read (window,
-// Handle.Stat, Handle.WindowValues). It must be called under e.mu.
+// Handle.Stat, Handle.WindowValues). It must be called under e.f.mu.
 func (e *entry) resolveTo(to time.Time) time.Time {
 	if to.IsZero() {
-		if last, ok := e.ts.Last(); ok {
+		if last, ok := e.f.fr.Last(e.col); ok {
 			return last.T.Add(time.Nanosecond)
 		}
 	}
 	return to
 }
 
+// view is the metric's zero-copy window [from, to) under the open-ended
+// rule of resolveTo. It must be called under e.f.mu.
+func (e *entry) view(from, to time.Time) timeseries.View {
+	return e.f.fr.View(e.col, from, e.resolveTo(to))
+}
+
 // window answers a statistics query against one entry: the raw points in
 // [from, to) when period is zero, otherwise the period-bucketed statistic.
 // A zero to means "through the newest datapoint".
 func (s *Store) window(e *entry, from, to time.Time, period time.Duration, stat timeseries.Agg) *timeseries.Series {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v := e.ts.View(from, e.resolveTo(to))
+	e.f.mu.Lock()
+	defer e.f.mu.Unlock()
+	v := e.view(from, to)
 	if period <= 0 {
 		return v.Materialize()
 	}
@@ -292,19 +353,21 @@ func (s *Store) window(e *entry, from, to time.Time, period time.Duration, stat 
 			}
 		}
 	}
-	return v.ResampleInto(timeseries.New(buckets), period, stat, &e.scratch)
+	return v.ResampleInto(timeseries.New(buckets), period, stat, &e.f.scratch)
 }
 
 // Put records one observation. Timestamps per metric must be non-decreasing
 // (the simulation has one clock, so this holds by construction). Callers on
-// a per-tick path should resolve a Handle once instead and Append through
-// it; Put re-derives the metric key from the dimension map on every call.
+// a per-tick path should resolve a Handle or Row once instead and Append
+// through it; Put re-derives the metric key from the dimension map on
+// every call. Like Handle.Append, it rejects a column of a multi-column
+// row.
 func (s *Store) Put(namespace, name string, dims map[string]string, t time.Time, v float64) error {
 	e, err := s.entryFor(namespace, name, dims)
 	if err != nil {
 		return err
 	}
-	return s.append(e, t, v)
+	return s.appendOne(e, t, v)
 }
 
 // MustPut is Put for simulation components that own the clock; a failure is
@@ -352,14 +415,14 @@ func (s *Store) sortedEntries(ns string) []*entry {
 }
 
 // Each visits every published metric sorted by canonical key, passing a
-// zero-copy view of its series taken under the metric's lock. The view is
-// only valid during the callback; the callback must not call back into the
-// store for the same metric.
+// zero-copy view of its series taken under the metric's frame lock. The
+// view is only valid during the callback; the callback must not call back
+// into the store for the same metric.
 func (s *Store) Each(fn func(id MetricID, v timeseries.View)) {
 	for _, e := range s.sortedEntries("") {
-		e.mu.Lock()
-		fn(e.id, e.ts.ViewAll())
-		e.mu.Unlock()
+		e.f.mu.Lock()
+		fn(e.id, e.f.fr.ViewAll(e.col))
+		e.f.mu.Unlock()
 	}
 }
 

@@ -36,10 +36,14 @@ func ObsSuite() []ObsBench {
 		// The full hot write — Handle.Append on a warmed ring under
 		// retention, instruments included: every iteration adds to both
 		// striped store counters (appends and retention drops).
-		// Query-plane reads share the entry lock with this path, so the
+		// Query-plane reads share the frame lock with this path, so the
 		// budget doubles as a guard that read-side changes never push
 		// allocations into the writer.
 		{Name: "handle_append_hot", MaxAllocs: 0, F: benchHandleAppendHot},
+		// The substrates' per-tick write — Row.Append of a 9-metric row,
+		// the kvstore publisher's shape — under the same retention and
+		// instruments: one lock, one timestamp, nine values.
+		{Name: "row_append_hot", MaxAllocs: 0, F: benchRowAppendHot},
 		// The scheduler's worker drain loop — pop batch, execute, flush,
 		// re-queue — must also stay allocation-free: it runs once per batch
 		// for every paced flow in the process.
@@ -141,6 +145,31 @@ func benchHandleAppendHot(b *testing.B) {
 	b.ReportAllocs()
 	for i := warm; b.Loop(); i++ {
 		if err := h.Append(benchTime(i), float64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRowAppendHot is benchHandleAppendHot for a publisher row: nine
+// metrics sharing one time column, warmed past retention, so every
+// iteration is lock + one row write + pruning + telemetry.
+func benchRowAppendHot(b *testing.B) {
+	s := metricstore.NewStore()
+	s.SetRetention(10 * time.Minute)
+	r := s.MustRow("Storage/KVStore", benchDims,
+		"ConsumedWCU", "ConsumedRCU", "ProvisionedWCU", "ProvisionedRCU",
+		"ThrottledWrites", "ThrottledReads", "WriteUtilization", "ReadUtilization", "ItemCount")
+	const warm = 2048 // > retention at 1 Hz: pruning runs every append
+	for i := 0; i < warm; i++ {
+		v := float64(i)
+		if err := r.Append(benchTime(i), v, v, v, v, v, v, v, v, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for i := warm; b.Loop(); i++ {
+		v := float64(i)
+		if err := r.Append(benchTime(i), v, v, v, v, v, v, v, v, v); err != nil {
 			b.Fatal(err)
 		}
 	}

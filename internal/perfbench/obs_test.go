@@ -10,6 +10,7 @@ func BenchmarkObsVecWithInc(b *testing.B)           { RunObs(b, "vec_with_inc") 
 func BenchmarkObsHistogramObserve(b *testing.B)     { RunObs(b, "histogram_observe") }
 func BenchmarkObsTracerBeginUnsampled(b *testing.B) { RunObs(b, "tracer_begin_unsampled") }
 func BenchmarkObsHandleAppendHot(b *testing.B)      { RunObs(b, "handle_append_hot") }
+func BenchmarkObsRowAppendHot(b *testing.B)         { RunObs(b, "row_append_hot") }
 func BenchmarkObsScrapeSnapshot(b *testing.B)       { RunObs(b, "scrape_snapshot") }
 func BenchmarkObsScrapeProm(b *testing.B)           { RunObs(b, "scrape_prom_text") }
 

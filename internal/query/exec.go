@@ -144,7 +144,7 @@ func splitChain(chain []chainOp) (pre []chainOp, res *chainOp, post []chainOp) {
 
 // runChain streams one series' view through the compiled chain and
 // returns the materialised output columns (one point, for a fused agg;
-// nil columns for an empty result). It runs under the entry lock: v and
+// nil columns for an empty result). It runs under the frame lock: v and
 // sc are only valid here, and everything returned is freshly owned.
 func runChain(v timeseries.View, sc *timeseries.AggScratch, pr *program, fuse *postOp) ([]int64, []float64) {
 	pre, res, post := splitChain(pr.chain)

@@ -108,18 +108,19 @@ func newDecisions(m *core.Manager, marks decisionMark) map[flow.LayerKind][]cont
 // bus sequence (0 when the flow has no bus) so the tick tracer can match
 // the event's SSE delivery. Advance calls it under f.mu so concurrent
 // advances publish in simulation order; that is safe because Publish never
-// blocks on subscribers.
-func (f *Flow) publishAdvance(d time.Duration, res sim.Result, simTime time.Time, decided map[flow.LayerKind][]control.Decision) uint64 {
+// blocks on subscribers. The payload's counters come from the harness's
+// O(1) readers, so publishing builds no sim.Result.
+func (f *Flow) publishAdvance(d time.Duration, h *sim.Harness, decided map[flow.LayerKind][]control.Decision) uint64 {
 	if f.bus == nil {
 		return 0
 	}
 	seq := f.bus.Publish(EventFlowAdvanced, f.id, FlowAdvanced{
 		ID:            f.id,
 		Advanced:      d.String(),
-		SimTime:       simTime,
-		Ticks:         res.Ticks,
-		ViolationRate: res.ViolationRate,
-		TotalCost:     res.TotalCost,
+		SimTime:       h.Clock.Now(),
+		Ticks:         h.Ticks(),
+		ViolationRate: h.ViolationRate(),
+		TotalCost:     h.Meter.Total(),
 	})
 	for kind, ds := range decided {
 		for _, dec := range ds {

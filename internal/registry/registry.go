@@ -170,32 +170,40 @@ func (f *Flow) View(fn func(m *core.Manager)) {
 // runs (an advance in flight when Delete lands finishes harmlessly), but
 // nothing is published: flow.deleted is final on the stream.
 func (f *Flow) Advance(d time.Duration) (sim.Result, error) {
-	return f.advance(d, telemetry.Traces.Begin(f.id))
+	var res sim.Result
+	err := f.advance(d, telemetry.Traces.Begin(f.id), &res)
+	return res, err
 }
 
 // advance is Advance plus tick-trace stamping: tr, when non-nil, is the
 // sampled trace the pacer began for this advance, and the stage marks
 // (flow lock acquired, controller step done, event published) land here.
-// All trace calls are nil-safe, so the untraced path pays nothing.
-func (f *Flow) advance(d time.Duration, tr *telemetry.Trace) (sim.Result, error) {
+// All trace calls are nil-safe, so the untraced path pays nothing. A
+// non-nil res receives the cumulative sim.Result, built under the same
+// lock; the pacer passes nil, so a pacer tick builds none.
+func (f *Flow) advance(d time.Duration, tr *telemetry.Trace, res *sim.Result) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	tr.Mark(telemetry.StageSchedFire)
 	marks := markDecisions(f.mgr)
-	res, err := f.mgr.Run(d)
+	h := f.mgr.Harness()
+	err := h.Step(d)
 	tr.Mark(telemetry.StageController)
 	if err != nil {
 		telemetry.Traces.Abandon(tr)
-		return res, err
+		return err
+	}
+	if res != nil {
+		*res = h.Result()
 	}
 	if f.deleting {
 		telemetry.Traces.Abandon(tr)
-		return res, nil
+		return nil
 	}
-	seq := f.publishAdvance(d, res, f.mgr.Harness().Clock.Now(), newDecisions(f.mgr, marks))
+	seq := f.publishAdvance(d, h, newDecisions(f.mgr, marks))
 	telemetry.Traces.Publish(tr, seq)
 	telAdvances.Inc()
-	return res, nil
+	return nil
 }
 
 // StartPacing advances the flow continuously: every wallTick of wall time,
@@ -261,7 +269,7 @@ func (f *Flow) StartPacing(pace float64, wallTick time.Duration) error {
 			debt -= due
 			// Begin the (sampled) tick trace before taking the flow lock so
 			// the sched_fire stage measures fire-to-lock latency.
-			if _, err := f.advance(due, telemetry.Traces.Begin(f.id)); err != nil {
+			if err := f.advance(due, telemetry.Traces.Begin(f.id), nil); err != nil {
 				return err
 			}
 		}

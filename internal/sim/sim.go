@@ -60,9 +60,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Indices of the layers in LoopKinds, which also index the per-layer
+// tallies account keeps.
+const (
+	iIngestion = iota
+	iAnalytics
+	iStorage
+	iStorageReads
+)
+
 // LoopKinds lists every layer a harness can attach a control loop to, in
 // the order the loops are registered (and so step within one tick).
-var LoopKinds = [...]flow.LayerKind{flow.Ingestion, flow.Analytics, flow.Storage, flow.StorageReads}
+var LoopKinds = [...]flow.LayerKind{
+	iIngestion:    flow.Ingestion,
+	iAnalytics:    flow.Analytics,
+	iStorage:      flow.Storage,
+	iStorageReads: flow.StorageReads,
+}
 
 // Harness is one materialised flow under management.
 type Harness struct {
@@ -94,7 +108,28 @@ type Harness struct {
 	// they first publish) and then reused allocation-free.
 	accMetrics accountHandles
 
-	res Result
+	acc tally
+}
+
+// tally is what account accumulates each tick. The per-layer figures sit
+// in fixed arrays indexed like LoopKinds, so a tick writes no map; Result
+// builds the maps on demand.
+type tally struct {
+	ticks    int
+	violated int // ticks with any layer in violation
+	// violations counts each layer's ticks in violation; Result reports a
+	// layer once it has one.
+	violations [len(LoopKinds)]int
+	// utilSum sums each layer's sampled utilisation; utilSeen marks the
+	// layers sampled at least once, which Result reports.
+	utilSum  [len(LoopKinds)]float64
+	utilSeen [len(LoopKinds)]bool
+}
+
+// addUtil adds one utilisation sample for layer i.
+func (t *tally) addUtil(i int, v float64) {
+	t.utilSum[i] += v
+	t.utilSeen[i] = true
 }
 
 // accountHandles caches the metric handles account reads every tick.
@@ -328,13 +363,6 @@ func New(spec flow.Spec, opts Options) (*Harness, error) {
 			h.Scheduler.Register(loop)
 		}
 	}
-
-	h.res = Result{
-		Step:       opts.Step,
-		Violations: make(map[flow.LayerKind]int),
-		MeanUtil:   make(map[flow.LayerKind]float64),
-		Actions:    make(map[flow.LayerKind]int),
-	}
 	return h, nil
 }
 
@@ -527,55 +555,67 @@ func (h *Harness) buildReadLoop(dash flow.DashboardSpec) error {
 // account tallies per-tick SLO violations and utilisation; it runs after
 // the substrates have published their tick metrics.
 func (h *Harness) account(now time.Time, step time.Duration) {
-	h.res.Ticks++
+	t := &h.acc
+	t.ticks++
 	m := &h.accMetrics
 
 	violated := false
 	if p, ok := h.latest(&m.streamThrottled, stream.Namespace, stream.MetricThrottledWrites, "StreamName"); ok && p.V > 0 {
-		h.res.Violations[flow.Ingestion]++
+		t.violations[iIngestion]++
 		violated = true
 	}
 	if h.Cluster.PendingTuples() > 0 {
-		h.res.Violations[flow.Analytics]++
+		t.violations[iAnalytics]++
 		violated = true
 	}
 	if p, ok := h.latest(&m.kvWriteThrottle, kvstore.Namespace, kvstore.MetricThrottledWrites, "TableName"); ok && p.V > 0 {
-		h.res.Violations[flow.Storage]++
+		t.violations[iStorage]++
 		violated = true
 	}
 	if h.Queries != nil {
 		if p, ok := h.latest(&m.kvReadThrottle, kvstore.Namespace, kvstore.MetricThrottledReads, "TableName"); ok && p.V > 0 {
-			h.res.Violations[flow.StorageReads]++
+			t.violations[iStorageReads]++
 			violated = true
 		}
 	}
 	if violated {
-		h.res.ViolationRate++ // normalised at the end of Run
+		t.violated++
 	}
 
 	if p, ok := h.latest(&m.streamOffered, stream.Namespace, stream.MetricOfferedUtilization, "StreamName"); ok {
-		h.res.MeanUtil[flow.Ingestion] += p.V
+		t.addUtil(iIngestion, p.V)
 	}
 	if p, ok := h.latest(&m.cpuUtil, compute.Namespace, compute.MetricCPUUtilization, "Topology"); ok {
-		h.res.MeanUtil[flow.Analytics] += p.V
+		t.addUtil(iAnalytics, p.V)
 	}
 	if p, ok := h.latest(&m.kvWriteUtil, kvstore.Namespace, kvstore.MetricWriteUtilization, "TableName"); ok {
-		h.res.MeanUtil[flow.Storage] += p.V
+		t.addUtil(iStorage, p.V)
 	}
 	if h.Queries != nil {
 		if p, ok := h.latest(&m.kvReadUtil, kvstore.Namespace, kvstore.MetricReadUtilization, "TableName"); ok {
-			h.res.MeanUtil[flow.StorageReads] += p.V
+			t.addUtil(iStorageReads, p.V)
 		}
 	}
+}
+
+// Step advances the simulation by d without building a Result: the
+// pacing path, whose readers need only Ticks, ViolationRate and
+// Meter.Total. It may be called repeatedly; the accounting accumulates
+// across calls.
+func (h *Harness) Step(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("sim: run duration must be positive")
+	}
+	h.Scheduler.RunFor(d)
+	return nil
 }
 
 // Run advances the simulation by d and returns the cumulative result. It
 // may be called repeatedly; results accumulate across calls.
 func (h *Harness) Run(d time.Duration) (Result, error) {
-	if d <= 0 {
-		return Result{}, fmt.Errorf("sim: run duration must be positive")
+	if err := h.Step(d); err != nil {
+		return Result{}, err
 	}
-	h.Scheduler.RunFor(d)
 	return h.Result(), nil
 }
 
@@ -597,36 +637,45 @@ func (h *Harness) Lookback() time.Duration {
 // Ticks returns how many simulation steps have been accounted so far — the
 // Result field for readers that need only the count, without building a
 // whole Result.
-func (h *Harness) Ticks() int { return h.res.Ticks }
+func (h *Harness) Ticks() int { return h.acc.ticks }
+
+// ViolationRate returns the fraction of ticks so far with any layer in
+// violation — the Result field, in O(1) (0 before the first tick).
+func (h *Harness) ViolationRate() float64 {
+	if h.acc.ticks == 0 {
+		return 0
+	}
+	return float64(h.acc.violated) / float64(h.acc.ticks)
+}
 
 // Result returns the cumulative result so far without advancing the
 // simulation (all zero before the first tick).
 func (h *Harness) Result() Result {
-	res := h.res
-	res.Duration = h.Clock.Elapsed()
-	// Copy the accumulator maps and normalise the copies, leaving the
-	// harness accumulators intact for subsequent Run calls.
-	mu := make(map[flow.LayerKind]float64, len(h.res.MeanUtil))
-	vio := make(map[flow.LayerKind]int, len(h.res.Violations))
-	if res.Ticks > 0 {
-		res.ViolationRate = h.res.ViolationRate / float64(res.Ticks)
-		for k, v := range h.res.MeanUtil {
-			mu[k] = v / float64(res.Ticks)
+	t := &h.acc
+	res := Result{
+		Duration:        h.Clock.Elapsed(),
+		Step:            h.opts.Step,
+		Ticks:           t.ticks,
+		Violations:      make(map[flow.LayerKind]int),
+		ViolationRate:   h.ViolationRate(),
+		MeanUtil:        make(map[flow.LayerKind]float64),
+		Actions:         make(map[flow.LayerKind]int, len(h.Loops)),
+		TotalCost:       h.Meter.Total(),
+		PeakRunRate:     h.Meter.PeakRunRate(),
+		Offered:         h.Generator.Offered(),
+		Rejected:        h.Generator.Rejected(),
+		FinalAllocation: h.Allocation(),
+	}
+	for i, kind := range LoopKinds {
+		if t.violations[i] > 0 {
+			res.Violations[kind] = t.violations[i]
+		}
+		if t.utilSeen[i] {
+			res.MeanUtil[kind] = t.utilSum[i] / float64(t.ticks)
 		}
 	}
-	for k, v := range h.res.Violations {
-		vio[k] = v
-	}
-	res.MeanUtil = mu
-	res.Violations = vio
-	res.Actions = make(map[flow.LayerKind]int, len(h.Loops))
 	for kind, loop := range h.Loops {
 		res.Actions[kind] = loop.Actions()
 	}
-	res.TotalCost = h.Meter.Total()
-	res.PeakRunRate = h.Meter.PeakRunRate()
-	res.Offered = h.Generator.Offered()
-	res.Rejected = h.Generator.Rejected()
-	res.FinalAllocation = h.Allocation()
 	return res
 }

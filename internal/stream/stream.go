@@ -85,19 +85,10 @@ type Stream struct {
 	nextSeq  uint64
 	shardSeq int // for shard ID generation
 
-	store *metricstore.Store
-	dims  map[string]string
-
-	// Per-tick publish handles, resolved once at construction so Tick's
-	// metric writes are allocation-free (nil when store is nil).
-	mMaxShardUtil *metricstore.Handle
-	mIncoming     *metricstore.Handle
-	mBytes        *metricstore.Handle
-	mThrottled    *metricstore.Handle
-	mShardCount   *metricstore.Handle
-	mWriteUtil    *metricstore.Handle
-	mOfferedUtil  *metricstore.Handle
-	mBacklog      *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// so Tick's metric writes are one allocation-free row append (nil when
+	// there is no store).
+	metrics *metricstore.Row
 
 	// Per-tick accounting, reset by Tick.
 	tickIncoming  int
@@ -123,19 +114,12 @@ func New(name string, shardCount int, store *metricstore.Store) (*Stream, error)
 	}
 	s := &Stream{
 		name:        name,
-		store:       store,
-		dims:        map[string]string{"StreamName": name},
 		stepSeconds: 1,
 	}
 	if store != nil {
-		s.mMaxShardUtil = store.MustHandle(Namespace, MetricMaxShardUtilization, s.dims)
-		s.mIncoming = store.MustHandle(Namespace, MetricIncomingRecords, s.dims)
-		s.mBytes = store.MustHandle(Namespace, MetricIncomingBytes, s.dims)
-		s.mThrottled = store.MustHandle(Namespace, MetricThrottledWrites, s.dims)
-		s.mShardCount = store.MustHandle(Namespace, MetricShardCount, s.dims)
-		s.mWriteUtil = store.MustHandle(Namespace, MetricWriteUtilization, s.dims)
-		s.mOfferedUtil = store.MustHandle(Namespace, MetricOfferedUtilization, s.dims)
-		s.mBacklog = store.MustHandle(Namespace, MetricBacklogRecords, s.dims)
+		s.metrics = store.MustRow(Namespace, map[string]string{"StreamName": name},
+			MetricMaxShardUtilization, MetricIncomingRecords, MetricIncomingBytes, MetricThrottledWrites,
+			MetricShardCount, MetricWriteUtilization, MetricOfferedUtilization, MetricBacklogRecords)
 	}
 	s.shards = s.makeShards(shardCount)
 	return s, nil
@@ -360,15 +344,9 @@ func (s *Stream) Tick(now time.Time, step time.Duration) {
 			}
 		}
 	}
-	if s.store != nil {
-		s.mMaxShardUtil.MustAppend(now, maxShardUtil)
-		s.mIncoming.MustAppend(now, float64(s.tickIncoming))
-		s.mBytes.MustAppend(now, float64(s.tickBytes))
-		s.mThrottled.MustAppend(now, float64(s.tickThrottled))
-		s.mShardCount.MustAppend(now, float64(len(s.shards)))
-		s.mWriteUtil.MustAppend(now, writeUtil)
-		s.mOfferedUtil.MustAppend(now, offeredUtil)
-		s.mBacklog.MustAppend(now, float64(s.BacklogRecords()))
+	if s.metrics != nil {
+		s.metrics.MustAppend(now, maxShardUtil, float64(s.tickIncoming), float64(s.tickBytes),
+			float64(s.tickThrottled), float64(len(s.shards)), writeUtil, offeredUtil, float64(s.BacklogRecords()))
 	}
 	s.tickIncoming = 0
 	s.tickBytes = 0

@@ -212,7 +212,7 @@ func TestTracerSamplingAndLifecycle(t *testing.T) {
 	}
 	tc.Mark(StageSchedFire)
 	tc.Mark(StageController)
-	tr.Active().AddAppend(1234)
+	tr.Active().AddAppend(1, 1234)
 	tr.Publish(tc, 42)
 	if tr.Active() != nil {
 		t.Fatal("Active not cleared after Publish")
@@ -304,7 +304,7 @@ func TestTracerRingBounded(t *testing.T) {
 func TestNilTraceMethodsNoop(t *testing.T) {
 	var tc *Trace
 	tc.Mark("x")
-	tc.AddAppend(1)
+	tc.AddAppend(1, 1)
 	tr := NewTracer()
 	tr.Publish(nil, 1)
 	tr.Abandon(nil)

@@ -59,14 +59,15 @@ func (t *Trace) Mark(name string) {
 	t.mark = now
 }
 
-// AddAppend accumulates one metric-store append's duration into the trace.
+// AddAppend accumulates one metric-store append of n values and its
+// duration into the trace.
 // Safe to call from any goroutine while the trace is active.
-func (t *Trace) AddAppend(nanos int64) {
+func (t *Trace) AddAppend(n int, nanos int64) {
 	if t == nil {
 		return
 	}
 	t.appendNanos.Add(nanos)
-	t.appendCount.Add(1)
+	t.appendCount.Add(int64(n))
 }
 
 // TraceSnapshot is a frozen, completed (or abandoned) trace.

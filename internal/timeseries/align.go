@@ -35,7 +35,7 @@ func BucketStart(tn int64, period time.Duration) int64 {
 // AlignIter walks a view's epoch-aligned period buckets in time order,
 // yielding each non-empty bucket as a zero-copy sub-view. It shares the
 // view's storage and validity window (use it only under the owning
-// entry's lock, like the view itself) and allocates nothing.
+// frame's lock, like the view itself) and allocates nothing.
 type AlignIter struct {
 	v   View
 	per int64

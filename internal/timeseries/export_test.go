@@ -1,8 +1,4 @@
 package timeseries
 
-// CopiedPoints exposes the compaction copy counter to the
-// amortised-truncation regression test.
-func CopiedPoints(s *Series) int64 { return s.copied }
-
 // Head exposes the live-region offset for white-box assertions.
-func Head(s *Series) int { return s.head }
+func Head(f *Frame) int { return f.head }

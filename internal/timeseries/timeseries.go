@@ -4,11 +4,12 @@
 // measurements, and by the experiment harness to summarise runs.
 //
 // Storage is columnar — one int64 slice of unix-nano timestamps and one
-// float64 slice of values — so the per-tick append path writes two machine
-// words, window lookups are a binary search over a flat int64 slice, and
-// retention pruning is an amortised-O(1) forward scan and head drop
-// instead of a copy of the surviving points. Read paths that do not need an owned copy use View, a
-// zero-copy window over the columns.
+// float64 slice of values — so window lookups are a binary search over a
+// flat int64 slice. A Frame shares one time column among several value
+// columns, so a publisher's per-tick row writes one timestamp, and it is
+// where retention lives: pruning is an amortised-O(1) forward scan and
+// head drop instead of a copy of the surviving points. Read paths that do
+// not need an owned copy use View, a zero-copy window over the columns.
 package timeseries
 
 import (
@@ -30,20 +31,11 @@ type Point struct {
 // violation indicates a wiring bug.
 //
 // Internally the series is columnar: timestamps as unix nanoseconds and
-// values as float64s, with a head offset so DropBefore can discard old
-// points without copying the survivors on every call.
+// values as float64s.
 type Series struct {
-	times []int64 // unix nanos, ascending; live region is [head:len]
+	times []int64 // unix nanos, ascending
 	vals  []float64
-	head  int
-	// copied counts points moved by compaction; the amortised-truncation
-	// regression test reads it to assert bounded total copy work.
-	copied int64
 }
-
-// compactMin is the head size below which DropBefore never compacts, so
-// short series are not shuffled for a handful of dropped points.
-const compactMin = 32
 
 // New returns an empty series with capacity hint n.
 func New(n int) *Series {
@@ -84,7 +76,7 @@ func unixNano(t time.Time) int64 {
 // appended timestamp.
 func (s *Series) Append(t time.Time, v float64) error {
 	tn := t.UnixNano()
-	if n := len(s.times); n > s.head && tn < s.times[n-1] {
+	if n := len(s.times); n > 0 && tn < s.times[n-1] {
 		return fmt.Errorf("timeseries: append at %v precedes last point %v", t, nanoTime(s.times[n-1]))
 	}
 	s.times = append(s.times, tn)
@@ -101,11 +93,11 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 }
 
 // Len reports the number of points.
-func (s *Series) Len() int { return len(s.times) - s.head }
+func (s *Series) Len() int { return len(s.times) }
 
 // At returns the i-th point.
 func (s *Series) At(i int) Point {
-	return Point{T: nanoTime(s.times[s.head+i]), V: s.vals[s.head+i]}
+	return Point{T: nanoTime(s.times[i]), V: s.vals[i]}
 }
 
 // Last returns the most recent point and true, or a zero point and false if
@@ -121,56 +113,44 @@ func (s *Series) Last() (Point, bool) {
 // Values returns a copy of the observation values in time order.
 func (s *Series) Values() []float64 {
 	out := make([]float64, s.Len())
-	copy(out, s.vals[s.head:])
+	copy(out, s.vals)
 	return out
 }
 
 // Times returns a copy of the timestamps in order.
 func (s *Series) Times() []time.Time {
 	out := make([]time.Time, s.Len())
-	for i, n := range s.times[s.head:] {
+	for i, n := range s.times {
 		out[i] = nanoTime(n)
 	}
 	return out
 }
 
 // Columns exposes the series' backing columns — unix-nano timestamps and
-// values, live region only — without copying. Callers must treat both
-// slices as read-only and must not retain them across a mutation of s;
-// the batch query wire path serializes them directly.
+// values — without copying. Callers must treat both slices as read-only
+// and must not retain them across a mutation of s; the batch query wire
+// path serializes them directly.
 func (s *Series) Columns() (ts []int64, vs []float64) {
-	return s.times[s.head:], s.vals[s.head:]
+	return s.times, s.vals
 }
 
 // Reset empties the series in place, keeping its capacity for reuse.
 func (s *Series) Reset() {
 	s.times = s.times[:0]
 	s.vals = s.vals[:0]
-	s.head = 0
-}
-
-// search returns the absolute index of the first live point with
-// timestamp >= tn.
-func (s *Series) search(tn int64) int {
-	return s.head + searchNanos(s.times[s.head:], tn)
 }
 
 // View returns a zero-copy window over the points p with from <= p.T < to.
-// The view shares storage with s: it is valid only until the next Append or
-// DropBefore, and callers that outlive the series must Materialize it.
+// The view shares storage with s: it is valid only until the next Append,
+// and callers that outlive the series must Materialize it.
 func (s *Series) View(from, to time.Time) View {
-	lo := s.search(unixNano(from))
-	hi := s.search(unixNano(to))
-	if hi < lo { // inverted window selects nothing
-		hi = lo
-	}
-	return View{times: s.times[lo:hi], vals: s.vals[lo:hi]}
+	return s.ViewAll().Slice(from, to)
 }
 
 // ViewAll returns a zero-copy view of the whole series (same validity
 // caveats as View).
 func (s *Series) ViewAll() View {
-	return View{times: s.times[s.head:], vals: s.vals[s.head:]}
+	return View{times: s.times, vals: s.vals}
 }
 
 // Between returns the sub-series of points p with from <= p.T < to. The
@@ -187,42 +167,6 @@ func (s *Series) TailN(n int) *Series {
 	lo := len(s.times) - n
 	return View{times: s.times[lo:], vals: s.vals[lo:]}.Materialize()
 }
-
-// DropBefore discards every point with timestamp earlier than t and reports
-// how many were dropped. The cost is amortised O(1) per dropped point. The
-// cutoff is found by scanning forward from the head, one comparison per
-// dropped point plus one: a steady retention window drops about one point
-// per append, so this beats a binary search over the whole column. Points
-// are logically dropped by advancing a head offset, and the surviving
-// region is compacted to the front only once the dead prefix is at least
-// as large as the live region, so the total copy work over the series'
-// lifetime is bounded by the total number of appends.
-func (s *Series) DropBefore(t time.Time) int {
-	tn := unixNano(t)
-	lo := s.head
-	for lo < len(s.times) && s.times[lo] < tn {
-		lo++
-	}
-	dropped := lo - s.head
-	if dropped <= 0 {
-		return 0
-	}
-	s.head = lo
-	if s.head >= compactMin && 2*s.head >= len(s.times) {
-		live := len(s.times) - s.head
-		copy(s.times, s.times[s.head:])
-		copy(s.vals, s.vals[s.head:])
-		s.times = s.times[:live]
-		s.vals = s.vals[:live]
-		s.copied += int64(live)
-		s.head = 0
-	}
-	return dropped
-}
-
-// Copied returns the lifetime count of points moved by compaction — the
-// observable cost of the amortised-truncation scheme.
-func (s *Series) Copied() int64 { return s.copied }
 
 // Agg identifies an aggregation function for Resample and period statistics.
 type Agg int
@@ -323,8 +267,8 @@ func (s *Series) EWMA(alpha float64) *Series {
 	}
 	out := New(s.Len())
 	var acc float64
-	for i, n := range s.times[s.head:] {
-		v := s.vals[s.head+i]
+	for i, n := range s.times {
+		v := s.vals[i]
 		if i == 0 {
 			acc = v
 		} else {

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// View is a zero-copy window over a Series' columns. It shares storage with
-// the series it was taken from and is valid only until that series is next
-// mutated (Append, DropBefore, Reset); the metric store therefore only
-// exposes views under the owning entry's lock. A View is a value — slicing
+// View is a zero-copy window over a time column and one value column of a
+// Series or Frame. It shares storage with the container it was taken from
+// and is valid only until that container is next mutated (Append,
+// DropBefore, Reset); the metric store therefore only exposes views under
+// the owning frame's lock. A View is a value — slicing
 // and passing it copies two slice headers, never the data.
 type View struct {
 	times []int64

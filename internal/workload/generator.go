@@ -86,14 +86,10 @@ type Generator struct {
 	pageZipf *rand.Zipf
 
 	dest *stream.Stream
-	ms   *metricstore.Store
-	dims map[string]string
 
-	// Per-tick publish handles, resolved once at construction (nil when ms
-	// is nil).
-	mTargetRate *metricstore.Handle
-	mOffered    *metricstore.Handle
-	mRejected   *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// (nil when there is no store).
+	metrics *metricstore.Row
 
 	offered  int64
 	rejected int64
@@ -127,13 +123,10 @@ func NewGenerator(cfg GeneratorConfig, dest *stream.Stream, ms *metricstore.Stor
 		rng:      rng,
 		pageZipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Pages-1)),
 		dest:     dest,
-		ms:       ms,
-		dims:     map[string]string{"Generator": "clickstream"},
 	}
 	if ms != nil {
-		g.mTargetRate = ms.MustHandle(Namespace, MetricTargetRate, g.dims)
-		g.mOffered = ms.MustHandle(Namespace, MetricOfferedRecords, g.dims)
-		g.mRejected = ms.MustHandle(Namespace, MetricRejected, g.dims)
+		g.metrics = ms.MustRow(Namespace, map[string]string{"Generator": "clickstream"},
+			MetricTargetRate, MetricOfferedRecords, MetricRejected)
 	}
 	return g, nil
 }
@@ -260,11 +253,8 @@ func (g *Generator) tickAggregate(now time.Time, step time.Duration) {
 
 // publishTick records the per-tick generator metrics.
 func (g *Generator) publishTick(now time.Time, offered, rejected int) {
-	if g.ms == nil {
+	if g.metrics == nil {
 		return
 	}
-	elapsed := now.Sub(g.cfg.Start)
-	g.mTargetRate.MustAppend(now, g.cfg.Pattern.Rate(elapsed))
-	g.mOffered.MustAppend(now, float64(offered))
-	g.mRejected.MustAppend(now, float64(rejected))
+	g.metrics.MustAppend(now, g.cfg.Pattern.Rate(now.Sub(g.cfg.Start)), float64(offered), float64(rejected))
 }

@@ -43,14 +43,10 @@ type QueryGenerator struct {
 	cfg   QueryConfig
 	rng   *rand.Rand
 	table *kvstore.Table
-	ms    *metricstore.Store
-	dims  map[string]string
 
-	// Per-tick publish handles, resolved once at construction (nil when ms
-	// is nil).
-	mTargetQPS *metricstore.Handle
-	mOffered   *metricstore.Handle
-	mThrottled *metricstore.Handle
+	// metrics is the per-tick publish row, interned once at construction
+	// (nil when there is no store).
+	metrics *metricstore.Row
 
 	offered   int64
 	throttled int64
@@ -71,13 +67,10 @@ func NewQueryGenerator(cfg QueryConfig, table *kvstore.Table, ms *metricstore.St
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		table: table,
-		ms:    ms,
-		dims:  map[string]string{"Generator": "dashboard"},
 	}
 	if ms != nil {
-		g.mTargetQPS = ms.MustHandle(QueryNamespace, MetricTargetQPS, g.dims)
-		g.mOffered = ms.MustHandle(QueryNamespace, MetricOfferedQueries, g.dims)
-		g.mThrottled = ms.MustHandle(QueryNamespace, MetricThrottledQueries, g.dims)
+		g.metrics = ms.MustRow(QueryNamespace, map[string]string{"Generator": "dashboard"},
+			MetricTargetQPS, MetricOfferedQueries, MetricThrottledQueries)
 	}
 	return g, nil
 }
@@ -106,9 +99,7 @@ func (g *QueryGenerator) Tick(now time.Time, step time.Duration) {
 	}
 	g.offered += int64(n)
 	g.throttled += int64(rejected)
-	if g.ms != nil {
-		g.mTargetQPS.MustAppend(now, g.cfg.Pattern.Rate(elapsed))
-		g.mOffered.MustAppend(now, float64(n))
-		g.mThrottled.MustAppend(now, float64(rejected))
+	if g.metrics != nil {
+		g.metrics.MustAppend(now, g.cfg.Pattern.Rate(elapsed), float64(n), float64(rejected))
 	}
 }
