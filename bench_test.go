@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exper"
+	"repro/internal/lab"
 	"repro/internal/nsga2"
 	"repro/internal/regress"
 	"repro/internal/share"
@@ -154,13 +155,10 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 // vs violation lag at the longest.
 func BenchmarkWindowSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exper.WindowSweep(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-		b.ReportMetric(float64(first.Actions), "actions_30s")
-		b.ReportMetric(float64(last.Actions), "actions_10m")
+		trials := runSweep(b, exper.WindowSweepSpec(benchSeed))
+		first, last := trials[0], trials[len(trials)-1]
+		b.ReportMetric(float64(totalActions(first)), "actions_30s")
+		b.ReportMetric(float64(totalActions(last)), "actions_10m")
 		b.ReportMetric(last.ViolationRate*100, "viol_pct_10m")
 	}
 }
@@ -169,13 +167,39 @@ func BenchmarkWindowSweep(b *testing.B) {
 // adaptation rate γ).
 func BenchmarkGammaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exper.GammaSweep(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Rows[0].TotalCost, "cost_gamma_min")
-		b.ReportMetric(r.Rows[len(r.Rows)-1].TotalCost, "cost_gamma_max")
+		trials := runSweep(b, exper.GammaSweepSpec(benchSeed))
+		b.ReportMetric(trials[0].TotalCost, "cost_gamma_min")
+		b.ReportMetric(trials[len(trials)-1].TotalCost, "cost_gamma_max")
 	}
+}
+
+// runSweep runs a sweep grid on a lab engine and returns its trial
+// summaries in grid order, failing the benchmark on any failed trial.
+func runSweep(b *testing.B, spec lab.Spec) []lab.TrialSummary {
+	b.Helper()
+	e := lab.NewEngine(0)
+	defer e.Close()
+	x, err := e.Submit(spec.Name, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-x.Done()
+	trials := x.Results().Trials
+	for _, t := range trials {
+		if t.Status != lab.TrialDone {
+			b.Fatalf("trial %s: %s %s", t.Name, t.Status, t.Error)
+		}
+	}
+	return trials
+}
+
+// totalActions counts a trial's applied resizes across all layers.
+func totalActions(t lab.TrialSummary) int {
+	n := 0
+	for _, a := range t.Actions {
+		n += a
+	}
+	return n
 }
 
 // BenchmarkAggregateVsPerRecord compares the two data paths of the

@@ -23,7 +23,7 @@
 // flows are paced, and a weighted-fairness policy keeps big experiment
 // grids from starving live flows. On SIGINT/SIGTERM the daemon shuts
 // down in order: HTTP drained, experiments settled, pacers stopped,
-// scheduler drained, journal flushed. The streaming read plane rides
+// scheduler drained, WAL closed. The streaming read plane rides
 // along: SSE/NDJSON watch endpoints (/v1/flows/{id}/watch,
 // /v1/experiments/{id}/watch, /v1/watch) and the columnar
 // POST /v1/metrics:batchQuery — see API.md ("Read plane"), `flowctl
@@ -47,9 +47,9 @@
 // watch streams keep serving. See API.md, "Durability & recovery".
 //
 // Without -http, flowerd performs a single-flow batch run and prints the
-// summary and dashboard. flowerd exits non-zero when a durability
-// boundary fails at shutdown — a journal or WAL that cannot be flushed is
-// an error, not a log line.
+// summary and dashboard (-csv exports its metric history). flowerd exits
+// non-zero when a durability boundary fails at shutdown — a WAL that
+// cannot be closed is an error, not a log line.
 package main
 
 import (
@@ -92,8 +92,6 @@ func main() {
 	replicas := flag.Int("flows", 1, "with -http and no -spec: serve this many independently-seeded replicas of the built-in flow")
 	schedShards := flag.Int("sched-shards", 0, "with -http: shards of the execution-plane scheduler (0: GOMAXPROCS, max 64)")
 	schedWorkers := flag.Int("sched-workers", 0, "with -http: workers per scheduler shard (0: 1); shards x workers is the whole server's execution capacity")
-	labWorkers := flag.Int("lab-workers", 0, "deprecated: experiments now share the execution plane; use -sched-shards/-sched-workers")
-	journalPath := flag.String("journal", "", "append the default flow's metric datapoints to this journal file (replayable with flowmon -replay)")
 	pprofOn := flag.Bool("pprof", false, "with -http: expose net/http/pprof under /debug/pprof/ on the same listener")
 	selfScrape := flag.Duration("selfscrape", 0, "with -http: ingest flowerd's own telemetry into the reserved "+httpapi.SelfScrapeFlow+" flow every interval (0 = off)")
 	dataDir := flag.String("data-dir", "", "with -http: durable control-plane directory (write-ahead log + checkpoint); flows, pacers and experiments survive restarts")
@@ -113,14 +111,11 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		if *labWorkers != 0 {
-			log.Printf("-lab-workers is deprecated and ignored: experiments run on the shared execution plane (size it with -sched-shards/-sched-workers)")
-		}
 		os.Exit(serveHTTP(*httpAddr, serveConfig{
 			specPaths: specPaths, loadSpec: loadSpec,
 			peak: *peak, step: *step, seed: *seed, pace: *pace,
 			replicas: *replicas, schedShards: *schedShards, schedWorkers: *schedWorkers,
-			journalPath: *journalPath, pprof: *pprofOn, selfScrape: *selfScrape,
+			pprof: *pprofOn, selfScrape: *selfScrape,
 			dataDir: *dataDir, resumeExperiments: *resumeExperiments,
 		}))
 	}
@@ -143,16 +138,6 @@ func main() {
 	mgr, err := flower.New(spec, sim.Options{Step: *step, Seed: *seed})
 	if err != nil {
 		log.Fatalf("manager: %v", err)
-	}
-
-	var journal *persist.Journal
-	if *journalPath != "" {
-		j, err := persist.OpenFileJournal(*journalPath)
-		if err != nil {
-			log.Fatalf("journal: %v", err)
-		}
-		j.Attach(mgr.Store())
-		journal = j
 	}
 
 	fmt.Printf("flower: managing flow %q for %v (step %v, seed %d)\n", spec.Name, *duration, *step, *seed)
@@ -194,15 +179,6 @@ func main() {
 		}
 		fmt.Printf("\nmetric history written to %s\n", *csvPath)
 	}
-
-	// A journal that cannot be flushed means datapoints were lost: that is
-	// a failed run, not a footnote.
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Fatalf("journal close: %v", err)
-		}
-		fmt.Printf("\n%d datapoints journaled to %s\n", journal.Records(), *journalPath)
-	}
 }
 
 type serveConfig struct {
@@ -215,7 +191,6 @@ type serveConfig struct {
 	replicas          int
 	schedShards       int
 	schedWorkers      int
-	journalPath       string
 	pprof             bool
 	selfScrape        time.Duration
 	dataDir           string
@@ -320,18 +295,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		}
 	}
 
-	var journal *persist.Journal
-	if cfg.journalPath != "" {
-		j, err := persist.OpenFileJournal(cfg.journalPath)
-		if err != nil {
-			log.Fatalf("journal: %v", err)
-		}
-		if f, ok := reg.Get(defaultID); ok {
-			f.View(func(m *flower.Manager) { j.Attach(m.Store()) })
-		}
-		journal = j
-	}
-
 	// Background compaction: fold the WAL into a checkpoint once it has
 	// accumulated enough records. Runs as a batch-class periodic job on
 	// the same execution plane as everything else.
@@ -397,9 +360,9 @@ func serveHTTP(addr string, cfg serveConfig) int {
 	// stop accepting HTTP (bounded drain of in-flight requests — watch
 	// streams are force-closed when the deadline lapses), settle the lab's
 	// experiments while workers still run, stop every pacer, and only then
-	// drain the scheduler. The journal and WAL close after all of it, so
-	// every datapoint and mutation recorded by the final ticks is flushed
-	// — and a close that fails is a non-zero exit, not a log line.
+	// drain the scheduler. The WAL closes after all of it, so every
+	// mutation recorded by the final ticks is flushed — and a close that
+	// fails is a non-zero exit, not a log line.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -435,14 +398,6 @@ func serveHTTP(addr string, cfg serveConfig) int {
 		if err := clog.Close(); err != nil {
 			log.Printf("wal close: %v", err)
 			exit = 1
-		}
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			log.Printf("journal close: %v", err)
-			exit = 1
-		} else {
-			fmt.Printf("\n%d datapoints journaled to %s\n", journal.Records(), cfg.journalPath)
 		}
 	}
 	return exit

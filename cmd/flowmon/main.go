@@ -6,13 +6,8 @@
 // Usage:
 //
 //	flowmon [-spec flow.json] [-for 1h] [-window 30m] [-csv out.csv]
-//	flowmon -replay metrics.jsonl [-window 30m]   render from a recorded journal
 //	flowmon -url http://host:8080 -flow web       render a live remote flow
 //	flowmon -url http://host:8080 -flow web -follow   re-render on every advance
-//
-// With -replay, flowmon renders the dashboard from a metric journal
-// recorded by `flowerd -journal` (internal/persist) instead of running a
-// simulation — monitoring a run after the fact, CloudWatch-style.
 //
 // With -url, flowmon fetches the named flow's consolidated snapshot from a
 // running flowerd control plane through the repro/client SDK and renders
@@ -26,7 +21,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -35,11 +29,8 @@ import (
 
 	apiv1 "repro/api/v1"
 	"repro/client"
-	"repro/internal/metricstore"
 	"repro/internal/monitor"
-	"repro/internal/persist"
 	"repro/internal/sim"
-	"repro/internal/timeseries"
 
 	flower "repro"
 )
@@ -53,7 +44,6 @@ func main() {
 	window := flag.Duration("window", 30*time.Minute, "dashboard window")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	csvPath := flag.String("csv", "", "export the metric history to this CSV file")
-	replayPath := flag.String("replay", "", "render from this metric journal instead of running a simulation")
 	baseURL := flag.String("url", "", "render a flow served by this flowerd control plane instead of running a simulation")
 	flowID := flag.String("flow", "", "with -url: the remote flow id")
 	follow := flag.Bool("follow", false, "with -url: stream the flow's watch events and re-render on every advance")
@@ -120,33 +110,6 @@ func main() {
 				log.Printf("%v (retrying on next event)", err)
 			}
 		}
-	}
-
-	if *replayPath != "" {
-		store := metricstore.NewStore()
-		n, err := persist.ReplayFile(*replayPath, store)
-		switch {
-		case err == nil:
-		case errors.Is(err, persist.ErrTornTail):
-			// A crash mid-append leaves a truncated final line; every
-			// complete record before it replayed fine.
-			log.Printf("replay: %v (replayed the %d complete records)", err, n)
-		default:
-			log.Fatalf("replay: %v", err)
-		}
-		// Anchor the dashboard at the journal's last observation.
-		var last time.Time
-		store.Each(func(id metricstore.MetricID, v timeseries.View) {
-			if p, ok := v.Last(); ok && p.T.After(last) {
-				last = p.T
-			}
-		})
-		fmt.Printf("replayed %d datapoints from %s\n\n", n, *replayPath)
-		snap := monitor.Collect(store, last, *window)
-		if err := monitor.Render(os.Stdout, snap); err != nil {
-			log.Fatalf("dashboard: %v", err)
-		}
-		return
 	}
 
 	var spec flower.Spec

@@ -107,17 +107,17 @@
 // column under one lock. Each simulated substrate publishes its per-tick
 // measurements as one row (a *metricstore.Row: one timestamp, one value
 // per metric, one lock), and readers — control-loop sensors, SLO
-// accounting — resolve a *metricstore.Handle once at build time and
-// aggregate through it allocation-free. Windowed statistics are answered by binary search plus
-// a single streaming pass over a zero-copy view; retention pruning is an
-// amortised head drop, never a copy of the surviving points. Every flow in
-// a Registry keeps a 24 h metric history horizon (or twice its longest
-// controller window, if that is longer): a query reaching further back
-// returns the retained tail, and a month-old flow advances at the cost
-// and memory of a day-old one. The map-keyed
-// Put/GetStatistics calls remain as compatibility wrappers for callers
-// whose metric identity is per-request (HTTP queries, journal replay).
-// See API.md ("Metric store: handle-based hot path") for the performance
+// accounting, HTTP queries — resolve a *metricstore.Handle (Handle at
+// build time, Lookup per request) and aggregate through it
+// allocation-free; there is no map-keyed write or read call. Windowed
+// statistics are answered by binary search plus a single streaming pass
+// over a zero-copy view; retention pruning is an amortised head drop,
+// never a copy of the surviving points. Every flow in a Registry keeps a
+// 24 h metric history horizon (or twice its longest controller window, if
+// that is longer): a query reaching further back returns the retained
+// tail, and a month-old flow advances at the cost and memory of a
+// day-old one. Metric history is not journaled: it is a deterministic
+// function of a flow's spec, seed, tune history and tick count. See API.md ("Metric store: handle-based hot path") for the performance
 // model, and internal/perfbench — or `flowerbench -suite perf` — for the
 // measured speedups versus the pre-rebuild implementation.
 //
@@ -139,8 +139,7 @@
 // queries (see BENCH_REPORT.json's batch_query_x16). The SDK's
 // WatchFlow/WatchExperiment/Watch iterators reconnect and resume on
 // their own, WaitExperiment waits on a watch stream with zero
-// steady-state polls (falling back to polling on pre-watch servers), and
-// `flowctl watch` / `flowmon -follow` bring the streams to the terminal.
+// steady-state polls, and `flowctl watch` / `flowmon -follow` bring the streams to the terminal.
 // See API.md ("Read plane").
 //
 // # Query plane

@@ -5,14 +5,14 @@ import (
 	"go/types"
 )
 
-// hotPath enforces the metric plane's API split on the packages that
-// publish or read metrics every simulation tick. The interned tiers
-// (Store.Row/Handle/Lookup once at build time, Row.Append and
-// Handle.Append/Stat/... per tick) are allocation-free; the map-keyed
-// compatibility wrappers rebuild the canonical key from the dimension map
-// on every call. One wrapper call inside a tick is invisible in tests and
-// a steady allocation+lock tax at a million flows — the exact hot/cold separation Polynesia
-// argues must be enforced, not hoped for.
+// hotPath keeps metric resolution off the per-tick loops of the packages
+// that publish or read metrics every simulation tick. The metric store
+// has no map-keyed write or read call, so the compiler already keeps the
+// tick itself on the interned tiers (Row.Append, Handle.Append/Stat/...);
+// what it cannot see is a Store.Row/Handle/Lookup — which builds the
+// canonical key from the dimension map — or a MetricID literal inside a
+// loop. One such resolution per iteration is invisible in tests and a
+// steady allocation+lock tax at a million flows.
 type hotPath struct{}
 
 func newHotPath() *hotPath { return &hotPath{} }
@@ -20,14 +20,14 @@ func newHotPath() *hotPath { return &hotPath{} }
 func (*hotPath) Name() string { return "hotpath" }
 
 func (*hotPath) Doc() string {
-	return "per-tick packages may not call map-keyed metricstore wrappers nor resolve handles or rows / build MetricIDs inside loops — Handle/Row/Lookup at build time only"
+	return "per-tick packages may not resolve handles or rows / build MetricIDs inside loops — Handle/Row/Lookup at build time only"
 }
 
 // hotPathPackages are the packages on the per-tick path: every simulated
 // platform publisher plus the control loop and the simulation harness
 // that drives them — and the query engine, whose executor runs under
-// frame locks while pacers append, so per-row resolution or map-keyed
-// reads there would stall every writer.
+// frame locks while pacers append, so per-row resolution there would
+// stall every writer.
 var hotPathPackages = map[string]bool{
 	"repro/internal/stream":   true,
 	"repro/internal/compute":  true,
@@ -37,13 +37,6 @@ var hotPathPackages = map[string]bool{
 	"repro/internal/control":  true,
 	"repro/internal/sim":      true,
 	"repro/internal/query":    true,
-}
-
-// storeWrappers are the map-keyed compatibility methods of
-// metricstore.Store, banned on the hot path outright.
-var storeWrappers = map[string]bool{
-	"Put": true, "MustPut": true, "GetStatistics": true,
-	"Latest": true, "Raw": true,
 }
 
 // storeResolvers intern metric identities; legal on the hot path only
@@ -106,19 +99,11 @@ func (a *hotPath) checkCall(p *Pass, call *ast.CallExpr, loopDepth int) {
 		return
 	}
 	name := sel.Sel.Name
-	if !storeWrappers[name] && !storeResolvers[name] {
+	if loopDepth == 0 || !storeResolvers[name] || !a.isStoreMethod(p, sel) {
 		return
 	}
-	if !a.isStoreMethod(p, sel) {
-		return
-	}
-	switch {
-	case storeWrappers[name]:
-		p.Reportf(call.Pos(), "map-keyed Store.%s on the per-tick path rebuilds the metric key every call — resolve a Handle at build time and use Handle.Append/Stat/Window instead", name)
-	case loopDepth > 0:
-		p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles and rows are build-time references; resolve once outside the loop and reuse", name)
-		a.flagKeyBuilding(p, call.Args)
-	}
+	p.Reportf(call.Pos(), "Store.%s inside a loop on the per-tick path — handles and rows are build-time references; resolve once outside the loop and reuse", name)
+	a.flagKeyBuilding(p, call.Args)
 }
 
 // flagKeyBuilding reports fmt.Sprintf calls and string concatenation used
@@ -151,8 +136,8 @@ func (a *hotPath) flagKeyBuilding(p *Pass, exprs []ast.Expr) {
 }
 
 // isStoreMethod reports whether sel resolves to a method with receiver
-// metricstore.Store (the handle type's methods share names like Latest;
-// only the Store-keyed tier is banned).
+// metricstore.Store (a Row's Handle method shares a resolver's name but
+// does no key work).
 func (a *hotPath) isStoreMethod(p *Pass, sel *ast.SelectorExpr) bool {
 	s, ok := p.Info.Selections[sel]
 	if !ok {

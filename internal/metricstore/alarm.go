@@ -142,36 +142,35 @@ func (s *Store) EvaluateAlarms(now time.Time) []string {
 // EvaluateAlarm computes the alarm's state as of now and records
 // state-transition counts on the alarm.
 func (s *Store) EvaluateAlarm(a *Alarm, now time.Time) AlarmState {
-	window := time.Duration(a.EvalPeriods) * a.Period
-	stats, err := s.GetStatistics(Query{
-		Namespace:  a.Namespace,
-		Name:       a.Metric,
-		Dimensions: a.Dimensions,
-		From:       now.Add(-window),
-		To:         now.Add(time.Nanosecond),
-		Period:     a.Period,
-		Stat:       a.Stat,
-	})
 	newState := StateInsufficient
-	if err == nil && stats.Len() >= a.EvalPeriods {
-		newState = StateOK
-		breachedAll := true
-		vals := stats.TailN(a.EvalPeriods).Values()
-		for _, v := range vals {
-			if math.IsNaN(v) || !a.Compare.breaches(v, a.Threshold) {
-				breachedAll = false
-				break
-			}
-		}
-		if breachedAll {
-			newState = StateAlarm
-		}
+	if h, ok := s.Lookup(a.Namespace, a.Metric, a.Dimensions); ok {
+		newState = a.evaluate(h, now)
 	}
 	if newState != a.state {
 		a.transitions++
 		a.state = newState
 	}
 	return newState
+}
+
+// evaluate buckets the alarm's last EvalPeriods periods of the metric and
+// reports the state they imply.
+func (a *Alarm) evaluate(h *Handle, now time.Time) AlarmState {
+	stats := h.Window(WindowQuery{
+		From:   now.Add(-time.Duration(a.EvalPeriods) * a.Period),
+		To:     now.Add(time.Nanosecond),
+		Period: a.Period,
+		Stat:   a.Stat,
+	})
+	if stats.Len() < a.EvalPeriods {
+		return StateInsufficient
+	}
+	for _, v := range stats.TailN(a.EvalPeriods).Values() {
+		if math.IsNaN(v) || !a.Compare.breaches(v, a.Threshold) {
+			return StateOK
+		}
+	}
+	return StateAlarm
 }
 
 // State reports the alarm's last evaluated state.

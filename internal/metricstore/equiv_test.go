@@ -15,8 +15,8 @@ import (
 
 // The equivalence property: the columnar, handle-based store answers every
 // query bit-for-bit identically to the frozen pre-rebuild implementation
-// (perfbench.LegacyStore), on randomised workloads, through both the
-// compatibility wrappers and the handle API, with and without retention.
+// (perfbench.LegacyStore), on randomised workloads, through the handle
+// API, with and without retention.
 
 // equivMetric is one randomly generated metric identity.
 type equivMetric struct {
@@ -44,8 +44,8 @@ func genMetrics(rng *rand.Rand) []equivMetric {
 }
 
 // driveBoth feeds an identical randomised workload into both stores,
-// appending through Put on the legacy side and through a mix of Put and
-// Handle.Append on the new side.
+// appending through Put on the legacy side and through Handle.Append on
+// the new side.
 func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *perfbench.LegacyStore, metrics []equivMetric, points int) time.Time {
 	t.Helper()
 	now := simtime.Epoch
@@ -65,11 +65,7 @@ func driveBoth(t *testing.T, rng *rand.Rand, st *metricstore.Store, legacy *perf
 		if err := legacy.Put(m.ns, m.name, m.dims, now, v); err != nil {
 			t.Fatal(err)
 		}
-		if rng.Intn(2) == 0 {
-			if err := st.Put(m.ns, m.name, m.dims, now, v); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := handles[mi].Append(now, v); err != nil {
+		if err := handles[mi].Append(now, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,24 +135,14 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 					Namespace: m.ns, Name: m.name, Dimensions: m.dims,
 					From: from, To: to, Period: period, Stat: stat,
 				})
-				got, gotErr := st.GetStatistics(metricstore.Query{
-					Namespace: m.ns, Name: m.name, Dimensions: m.dims,
-					From: from, To: to, Period: period, Stat: stat,
-				})
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: err %v vs legacy %v", tag, gotErr, wantErr)
+				h, ok := st.Lookup(m.ns, m.name, m.dims)
+				if ok != (wantErr == nil) {
+					t.Fatalf("%s: lookup ok %v vs legacy err %v", tag, ok, wantErr)
 				}
-				if wantErr != nil {
+				if !ok {
 					continue
 				}
-				assertSeriesEqual(t, tag, got, want)
-
-				// The handle Window path must agree with the wrapper.
-				h, ok := st.Lookup(m.ns, m.name, m.dims)
-				if !ok {
-					t.Fatalf("%s: lookup failed for existing metric", tag)
-				}
-				assertSeriesEqual(t, tag+" (handle)", h.Window(metricstore.WindowQuery{
+				assertSeriesEqual(t, tag, h.Window(metricstore.WindowQuery{
 					From: from, To: to, Period: period, Stat: stat,
 				}), want)
 
@@ -197,8 +183,9 @@ func TestColumnarStoreMatchesLegacyRandomised(t *testing.T) {
 	}
 }
 
-// TestHandleAndPutShareSeries confirms the wrapper and the handle write to
-// the same interned series.
+// TestHandleAndPutShareSeries confirms that handles resolved separately —
+// at build time with Handle, and later by key with Lookup — write to the
+// same interned series.
 func TestHandleAndPutShareSeries(t *testing.T) {
 	st := metricstore.NewStore()
 	dims := map[string]string{"StreamName": "clicks"}
@@ -207,10 +194,14 @@ func TestHandleAndPutShareSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := simtime.Epoch
-	if err := st.Put("Ingestion/Stream", "IncomingRecords", dims, t0, 1); err != nil {
+	if err := h.Append(t0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Append(t0.Add(time.Second), 2); err != nil {
+	looked, ok := st.Lookup("Ingestion/Stream", "IncomingRecords", dims)
+	if !ok {
+		t.Fatal("Lookup missed a published metric")
+	}
+	if err := looked.Append(t0.Add(time.Second), 2); err != nil {
 		t.Fatal(err)
 	}
 	if h.Len() != 2 {
@@ -227,15 +218,14 @@ func TestHandleAndPutShareSeries(t *testing.T) {
 	if err := h.Append(t0, 3); err == nil {
 		t.Fatal("out-of-order handle append accepted")
 	}
-	if err := st.Put("Ingestion/Stream", "IncomingRecords", dims, t0, 3); err == nil {
-		t.Fatal("out-of-order put accepted")
+	if err := looked.Append(t0, 3); err == nil {
+		t.Fatal("out-of-order lookup append accepted")
 	}
 }
 
 // TestInternedUnpublishedMetricIsInvisible: resolving a handle at build
 // time must not make the metric observable before its first datapoint —
-// pre-first-tick queries, listings and lookups behave exactly as when
-// entries were only created on first Put.
+// pre-first-tick listings and lookups behave as if it did not exist.
 func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	st := metricstore.NewStore()
 	dims := map[string]string{"StreamName": "clicks"}
@@ -249,11 +239,6 @@ func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	}
 	if _, ok := st.Lookup("Ingestion/Stream", "IncomingRecords", dims); ok {
 		t.Fatal("Lookup found unpublished metric")
-	}
-	if _, err := st.GetStatistics(metricstore.Query{
-		Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: dims,
-	}); err == nil {
-		t.Fatal("GetStatistics answered for unpublished metric")
 	}
 	if raw := storeRaw(st, "Ingestion/Stream", "IncomingRecords", dims); raw != nil {
 		t.Fatalf("Raw returned %v for unpublished metric", raw)
@@ -272,10 +257,8 @@ func TestInternedUnpublishedMetricIsInvisible(t *testing.T) {
 	if _, ok := st.Lookup("Ingestion/Stream", "IncomingRecords", dims); !ok {
 		t.Fatal("Lookup missed published metric")
 	}
-	if _, err := st.GetStatistics(metricstore.Query{
-		Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: dims,
-	}); err != nil {
-		t.Fatal(err)
+	if raw := storeRaw(st, "Ingestion/Stream", "IncomingRecords", dims); raw.Len() != 1 {
+		t.Fatalf("Raw returned %d points for the published metric, want 1", raw.Len())
 	}
 }
 

@@ -58,9 +58,9 @@ func (s *Store) Lookup(namespace, name string, dims map[string]string) (*Handle,
 func (h *Handle) ID() MetricID { return h.e.id }
 
 // Append records one observation; the timestamp must not precede the
-// metric's newest datapoint. Retention pruning and the journal hook run
-// exactly as for Store.Put. It returns an error, and stores nothing, for a
-// column of a multi-column row.
+// metric's newest datapoint, and older datapoints are pruned under the
+// store's retention. It returns an error, and stores nothing, for a column
+// of a multi-column row.
 func (h *Handle) Append(t time.Time, v float64) error {
 	return h.s.appendOne(h.e, t, v)
 }
@@ -109,8 +109,9 @@ type WindowQuery struct {
 	Stat     timeseries.Agg
 }
 
-// Window returns the queried window as an independent series, like
-// Store.GetStatistics without the per-call metric resolution.
+// Window returns the queried window as an independent series: the raw
+// points when Period is zero, otherwise the Period-bucketed Stat,
+// CloudWatch-style.
 func (h *Handle) Window(q WindowQuery) *timeseries.Series {
 	return h.s.window(h.e, q.From, q.To, q.Period, q.Stat)
 }

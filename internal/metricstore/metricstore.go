@@ -26,12 +26,10 @@
 //     per-call key work. A Handle to a row column (from Row.Handle,
 //     Store.Handle or Lookup) reads it like any other metric.
 //
-// The map-keyed Put/GetStatistics calls remain as compatibility wrappers
-// that rebuild the key per call (into a pooled scratch buffer) and then
-// take the handle path; the store-level lock is only ever held to create
-// or look up entries, never while touching series data. The hotpath
-// analyzer in internal/analysis machine-checks that per-tick packages stay
-// on the interned tiers.
+// There is no map-keyed write or read call: resolving a metric by
+// namespace, name and dimensions (Handle, Lookup) builds its key once,
+// into a pooled scratch buffer, and the store-level lock is only ever held
+// to create or look up entries, never while touching series data.
 package metricstore
 
 import (
@@ -68,9 +66,9 @@ func (id MetricID) String() string {
 	return strings.ReplaceAll(key, "|", " ")
 }
 
-// keyScratch holds the reusable buffers the compatibility wrappers build
-// canonical keys into, so a steady-state Put or query allocates nothing for
-// key construction.
+// keyScratch holds the reusable buffers metric resolution builds canonical
+// keys into, so a Lookup of an existing metric allocates nothing for key
+// construction.
 type keyScratch struct {
 	buf  []byte
 	keys []string
@@ -107,16 +105,6 @@ func (sc *keyScratch) appendKey(ns, name string, dims map[string]string) []byte 
 	return b
 }
 
-// Query selects datapoints for GetStatistics.
-type Query struct {
-	Namespace  string
-	Name       string
-	Dimensions map[string]string
-	From, To   time.Time // half-open interval [From, To)
-	Period     time.Duration
-	Stat       timeseries.Agg
-}
-
 // Store is the metric repository. It is safe for concurrent use: entry
 // creation takes the store lock, while appends and queries synchronise on
 // the lock of the frame holding the metric, so writers of different frames
@@ -129,8 +117,6 @@ type Store struct {
 	// retention is the pruning window in nanoseconds (0 keeps everything);
 	// atomic so the per-append read does not touch the store lock.
 	retention atomic.Int64
-	// onPut is the journal observer; atomic for the same reason.
-	onPut atomic.Pointer[func(id MetricID, t time.Time, v float64)]
 
 	keyPool sync.Pool // *keyScratch
 
@@ -146,8 +132,8 @@ type entry struct {
 }
 
 // frame is the unit of storage and locking: one or more metrics as value
-// columns over a shared time column. A Handle or Put metric is a
-// one-column frame; a Row is a frame of its named metrics.
+// columns over a shared time column. A Handle metric is a one-column
+// frame; a Row is a frame of its named metrics.
 type frame struct {
 	mu      sync.Mutex
 	fr      *timeseries.Frame
@@ -174,8 +160,7 @@ func newFrame(ids []MetricID) *frame {
 // published reports whether the metric has any datapoints yet. Handles
 // and rows intern metric identities at build time, before their publisher
 // has ticked; the read surface (queries, listings, lookups) treats such
-// not-yet-published entries as absent, exactly as when entries were only
-// created on first Put.
+// not-yet-published entries as absent.
 func (e *entry) published() bool {
 	e.f.mu.Lock()
 	defer e.f.mu.Unlock()
@@ -204,20 +189,6 @@ func (s *Store) SetRetention(d time.Duration) {
 // everything).
 func (s *Store) Retention() time.Duration {
 	return time.Duration(s.retention.Load())
-}
-
-// SetOnPut installs an observer invoked after every successful append,
-// once per stored value with that metric's canonical ID — the hook
-// internal/persist uses to journal the metric stream durably. A row
-// append calls it once per column, in column order. The observer runs
-// under the frame lock, so appends of one metric reach it in order; it
-// must not call back into the store. Pass nil to remove it.
-func (s *Store) SetOnPut(fn func(id MetricID, t time.Time, v float64)) {
-	if fn == nil {
-		s.onPut.Store(nil)
-		return
-	}
-	s.onPut.Store(&fn)
 }
 
 // lookup finds the entry for the metric without creating it, building the
@@ -264,8 +235,8 @@ func copyDims(dims map[string]string) map[string]string {
 	return cp
 }
 
-// appendOne records a single value for the metric e. It is the Handle and
-// Put path, and it refuses a column of a multi-column row: a lone value
+// appendOne records a single value for the metric e. It is the Handle
+// path, and it refuses a column of a multi-column row: a lone value
 // would leave the row's columns unequal.
 func (s *Store) appendOne(e *entry, t time.Time, v float64) error {
 	if w := e.f.fr.Width(); w > 1 {
@@ -275,8 +246,8 @@ func (s *Store) appendOne(e *entry, t time.Time, v float64) error {
 }
 
 // appendRow records one row — a timestamp and one value per column —
-// under the frame's lock: ordered append, amortised retention pruning,
-// and the journal hook once per value. Both store counters count values.
+// under the frame's lock: ordered append and amortised retention pruning.
+// Both store counters count values.
 // The telemetry at the bottom is hot-path safe: an atomic counter add,
 // and trace timing only when a sampled tick trace is live (one atomic
 // pointer load otherwise).
@@ -299,11 +270,6 @@ func (s *Store) appendRow(f *frame, t time.Time, vs []float64) error {
 			if d := f.fr.Copied() - copiedBefore; d > 0 {
 				telCompactionCopied.Add(uint64(d) * width)
 			}
-		}
-	}
-	if fn := s.onPut.Load(); fn != nil {
-		for i, v := range vs {
-			(*fn)(f.ids[i], t, v)
 		}
 	}
 	f.mu.Unlock()
@@ -354,40 +320,6 @@ func (s *Store) window(e *entry, from, to time.Time, period time.Duration, stat 
 		}
 	}
 	return v.ResampleInto(timeseries.New(buckets), period, stat, &e.f.scratch)
-}
-
-// Put records one observation. Timestamps per metric must be non-decreasing
-// (the simulation has one clock, so this holds by construction). Callers on
-// a per-tick path should resolve a Handle or Row once instead and Append
-// through it; Put re-derives the metric key from the dimension map on
-// every call. Like Handle.Append, it rejects a column of a multi-column
-// row.
-func (s *Store) Put(namespace, name string, dims map[string]string, t time.Time, v float64) error {
-	e, err := s.entryFor(namespace, name, dims)
-	if err != nil {
-		return err
-	}
-	return s.appendOne(e, t, v)
-}
-
-// MustPut is Put for simulation components that own the clock; a failure is
-// a wiring bug.
-func (s *Store) MustPut(namespace, name string, dims map[string]string, t time.Time, v float64) {
-	if err := s.Put(namespace, name, dims, t, v); err != nil {
-		panic(err)
-	}
-}
-
-// GetStatistics aggregates the selected metric into Period buckets using
-// q.Stat, CloudWatch-style. A zero Period returns the raw points between
-// From and To.
-func (s *Store) GetStatistics(q Query) (*timeseries.Series, error) {
-	e := s.lookup(q.Namespace, q.Name, q.Dimensions)
-	if e == nil || !e.published() {
-		id := MetricID{Namespace: q.Namespace, Name: q.Name, Dimensions: q.Dimensions}
-		return nil, fmt.Errorf("metricstore: no such metric %s", id)
-	}
-	return s.window(e, q.From, q.To, q.Period, q.Stat), nil
 }
 
 // sortedEntries snapshots the published entry set sorted by canonical key.

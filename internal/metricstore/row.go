@@ -70,8 +70,8 @@ func (s *Store) MustRow(ns string, dims map[string]string, names ...string) *Row
 
 // Append records one row: the timestamp and one value per metric, in the
 // order Row named them. The timestamp must not precede the row's newest.
-// Retention pruning and the journal hook run as for Handle.Append, the
-// hook once per value in column order. On error nothing is stored.
+// Retention pruning runs as for Handle.Append. On error nothing is
+// stored.
 func (r *Row) Append(t time.Time, vs ...float64) error {
 	return r.s.appendRow(r.f, t, vs)
 }

@@ -54,18 +54,30 @@ func IngestSnapshot(s *Store, snap telemetry.Snapshot) error {
 				}
 			}
 			if fam.Kind == telemetry.KindHistogram && m.Histogram != nil {
-				if err := s.Put(SelfScrapeNamespace, fam.Name+"_count", dims, at, float64(m.Histogram.Count)); err != nil {
-					return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
+				if err := ingest(s, fam.Name+"_count", dims, at, float64(m.Histogram.Count)); err != nil {
+					return err
 				}
-				if err := s.Put(SelfScrapeNamespace, fam.Name+"_sum", dims, at, float64(m.Histogram.SumNanos)/float64(time.Second)); err != nil {
-					return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
+				if err := ingest(s, fam.Name+"_sum", dims, at, float64(m.Histogram.SumNanos)/float64(time.Second)); err != nil {
+					return err
 				}
 				continue
 			}
-			if err := s.Put(SelfScrapeNamespace, fam.Name, dims, at, m.Value); err != nil {
-				return fmt.Errorf("metricstore: self-scrape %s: %w", fam.Name, err)
+			if err := ingest(s, fam.Name, dims, at, m.Value); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// ingest appends one self-scrape value through the metric's handle.
+func ingest(s *Store, name string, dims map[string]string, at time.Time, v float64) error {
+	h, err := s.Handle(SelfScrapeNamespace, name, dims)
+	if err == nil {
+		err = h.Append(at, v)
+	}
+	if err != nil {
+		return fmt.Errorf("metricstore: self-scrape %s: %w", name, err)
 	}
 	return nil
 }

@@ -180,7 +180,7 @@ type legacyEntry struct {
 	ts       *LegacySeries
 }
 
-// LegacyQuery mirrors the old metricstore.Query.
+// LegacyQuery mirrors the pre-rebuild store's query type.
 type LegacyQuery struct {
 	Namespace  string
 	Name       string

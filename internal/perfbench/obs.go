@@ -52,11 +52,13 @@ func ObsSuite() []ObsBench {
 		// (the acceptance budget; the implementation spends none).
 		{Name: "counter_read", MaxAllocs: 1, F: benchCounterRead},
 		// Scrape cost: snapshotting a realistically sized registry and
-		// rendering the Prometheus text. Unbudgeted on allocations — a
-		// scrape allocates its snapshot by design — but tracked in the
-		// report so regressions surface.
+		// rendering the Prometheus text. The snapshot is unbudgeted on
+		// allocations — it allocates by design — but tracked in the
+		// report so regressions surface. The text rendering measures 781
+		// allocs/op (Xeon, 2 vCPU, Go 1.24); the budget leaves a little
+		// headroom and catches a per-label escaper rebuild (3514).
 		{Name: "scrape_snapshot", MaxAllocs: -1, F: benchScrapeSnapshot},
-		{Name: "scrape_prom_text", MaxAllocs: -1, F: benchScrapeProm},
+		{Name: "scrape_prom_text", MaxAllocs: 800, F: benchScrapeProm},
 	}
 }
 

@@ -15,7 +15,8 @@ func BenchmarkObsScrapeSnapshot(b *testing.B)       { RunObs(b, "scrape_snapshot
 func BenchmarkObsScrapeProm(b *testing.B)           { RunObs(b, "scrape_prom_text") }
 
 // TestObsBudgets asserts the allocation budgets the report enforces: the
-// write side and the counter read must not allocate in steady state.
+// write side and the counter read must not allocate in steady state, and
+// the Prometheus text rendering stays within its measured budget.
 func TestObsBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")

@@ -36,7 +36,6 @@ var benchDims = map[string]string{"StreamName": "bench", "Shard": "s-01"}
 func Suite() []Bench {
 	return []Bench{
 		{Name: "put_legacy", F: benchLegacyPut},
-		{Name: "put_compat", Baseline: "put_legacy", F: benchPutCompat},
 		{Name: "handle_append", Baseline: "put_legacy", F: benchHandleAppend},
 		{Name: "put_retention_legacy", F: benchLegacyPutRetention},
 		{Name: "handle_append_retention", Baseline: "put_retention_legacy", F: benchHandleAppendRetention},
@@ -45,7 +44,6 @@ func Suite() []Bench {
 		{Name: "window_stat_p99_legacy", F: benchLegacyWindowStatP99},
 		{Name: "handle_stat_p99", Baseline: "window_stat_p99_legacy", F: benchHandleStatP99},
 		{Name: "get_statistics_resample_legacy", F: benchLegacyGetStatisticsResample},
-		{Name: "get_statistics_resample", Baseline: "get_statistics_resample_legacy", F: benchGetStatisticsResample},
 		{Name: "handle_window_resample", Baseline: "get_statistics_resample_legacy", F: benchHandleWindowResample},
 		{Name: "sim_tick", F: benchSimTick},
 		{Name: "single_query_x16", F: benchSingleQueries16},
@@ -74,16 +72,6 @@ func benchTime(i int) time.Time {
 
 func benchLegacyPut(b *testing.B) {
 	s := NewLegacyStore()
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		if err := s.Put("Ingestion/Stream", "IncomingRecords", benchDims, benchTime(i), float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchPutCompat(b *testing.B) {
-	s := metricstore.NewStore()
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		if err := s.Put("Ingestion/Stream", "IncomingRecords", benchDims, benchTime(i), float64(i)); err != nil {
@@ -214,21 +202,6 @@ func benchLegacyGetStatisticsResample(b *testing.B) {
 		series, err := s.GetStatistics(q)
 		if err != nil || series.Len() == 0 {
 			b.Fatalf("resample: len=%d err=%v", series.Len(), err)
-		}
-	}
-}
-
-func benchGetStatisticsResample(b *testing.B) {
-	s, _, _, _ := fillStore(b)
-	q := metricstore.Query{
-		Namespace: "Ingestion/Stream", Name: "IncomingRecords", Dimensions: benchDims,
-		Period: time.Minute, Stat: timeseries.AggMean,
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		series, err := s.GetStatistics(q)
-		if err != nil || series.Len() == 0 {
-			b.Fatalf("resample: err=%v", err)
 		}
 	}
 }

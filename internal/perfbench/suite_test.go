@@ -7,7 +7,6 @@ import "testing"
 // what cmd/flowerbench's perf suite measures.
 
 func BenchmarkPutLegacy(b *testing.B)          { Run(b, "put_legacy") }
-func BenchmarkPutCompat(b *testing.B)          { Run(b, "put_compat") }
 func BenchmarkHandleAppend(b *testing.B)       { Run(b, "handle_append") }
 func BenchmarkPutRetentionLegacy(b *testing.B) { Run(b, "put_retention_legacy") }
 func BenchmarkHandleAppendRetention(b *testing.B) {
@@ -20,8 +19,7 @@ func BenchmarkHandleStatP99(b *testing.B)       { Run(b, "handle_stat_p99") }
 func BenchmarkGetStatisticsResampleLegacy(b *testing.B) {
 	Run(b, "get_statistics_resample_legacy")
 }
-func BenchmarkGetStatisticsResample(b *testing.B) { Run(b, "get_statistics_resample") }
-func BenchmarkHandleWindowResample(b *testing.B)  { Run(b, "handle_window_resample") }
-func BenchmarkSimTick(b *testing.B)               { Run(b, "sim_tick") }
-func BenchmarkSingleQueriesX16(b *testing.B)      { Run(b, "single_query_x16") }
-func BenchmarkBatchQueryX16(b *testing.B)         { Run(b, "batch_query_x16") }
+func BenchmarkHandleWindowResample(b *testing.B) { Run(b, "handle_window_resample") }
+func BenchmarkSimTick(b *testing.B)              { Run(b, "sim_tick") }
+func BenchmarkSingleQueriesX16(b *testing.B)     { Run(b, "single_query_x16") }
+func BenchmarkBatchQueryX16(b *testing.B)        { Run(b, "batch_query_x16") }

@@ -1,3 +1,13 @@
+// Package persist makes the control plane durable: a CRC-framed,
+// fsynced write-ahead log of every mutation (flow create, pace, tune,
+// delete; experiment lifecycle), periodic checkpoints that compact it,
+// and crash recovery that rebuilds flows, pacers and experiments from
+// checkpoint plus tail.
+//
+// Metric history is not logged. It is a deterministic function of a
+// flow's spec, seed, tune history and tick count, all of which the WAL
+// already records; batch runs export metrics with flowerd -csv, and
+// served flows answer /v1/query.
 package persist
 
 import (
@@ -15,13 +25,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The control-plane WAL makes the plane's *mutations* durable the same
-// way the metric journal makes its *observations* durable: an
-// append-only, line-delimited log plus a periodic checkpoint. Unlike the
-// journal, WAL records are CRC-framed — a flow definition is worth more
-// than a datapoint, so a torn or bit-rotted record must be detected, not
-// replayed as garbage — and every record is appended (and fsynced)
-// before the mutation is acknowledged to the caller.
+// The control-plane WAL is an append-only, line-delimited log plus a
+// periodic checkpoint. Records are CRC-framed — a torn or bit-rotted
+// record must be detected, not replayed as garbage — and every record is
+// appended (and fsynced) before the mutation is acknowledged to the
+// caller.
 //
 // Frame format, one record per line:
 //
@@ -33,9 +41,8 @@ import (
 // plain JSON: debuggable with grep and jq, forward-extensible by adding
 // fields.
 
-// Control-plane durability telemetry. The journal metrics above count
-// datapoints; these count mutations, the WAL's unit of work, plus the
-// recovery-side counters the crashtest asserts on.
+// Control-plane durability telemetry: mutations, the WAL's unit of work,
+// plus the recovery-side counters the crashtest asserts on.
 var (
 	telWALRecords = telemetry.Default().Counter("flower_persist_wal_records_total",
 		"Control-plane WAL records appended.")
@@ -53,8 +60,6 @@ var (
 		"Control-plane WAL records replayed at recovery.")
 	telWALTornTails = telemetry.Default().Counter("flower_persist_wal_torn_tails_total",
 		"Control-plane WAL recoveries that found (and tolerated) a torn final record.")
-	telTornTails = telemetry.Default().Counter("flower_persist_journal_torn_tails_total",
-		"Metric-journal replays that ended in a torn final record.")
 )
 
 // ErrTornTail reports that an append-only log ended mid-record — the
@@ -406,12 +411,11 @@ type ExperimentCheckpoint struct {
 }
 
 // WriteControlCheckpoint writes the checkpoint atomically: temp file in
-// the target directory, synced, renamed over the destination — the same
-// crash discipline SnapshotFile uses, so a crash never leaves a torn
-// checkpoint.
+// the target directory, synced, renamed over the destination, so a crash
+// never leaves a torn checkpoint.
 func WriteControlCheckpoint(path string, ckpt *ControlCheckpoint) error {
 	ckpt.Version = controlCheckpointVersion
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("persist: checkpoint temp: %w", err)
 	}

@@ -122,14 +122,15 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// The escapers are built once: a strings.Replacer compiles its lookup
+// table on first use, which dominated scrape cost when built per label.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
+
 // promEscape escapes a HELP string (backslash and newline).
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func promEscape(s string) string { return helpEscaper.Replace(s) }
 
 // promEscapeLabel escapes a label value (backslash, quote, newline).
-func promEscapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+func promEscapeLabel(s string) string { return labelEscaper.Replace(s) }

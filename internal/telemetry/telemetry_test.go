@@ -165,6 +165,25 @@ func TestWriteProm(t *testing.T) {
 	}
 }
 
+func TestPromEscaping(t *testing.T) {
+	for _, tc := range []struct {
+		in, help, label string
+	}{
+		{in: "plain", help: "plain", label: "plain"},
+		{in: `a\b`, help: `a\\b`, label: `a\\b`},
+		{in: `say "hi"`, help: `say "hi"`, label: `say \"hi\"`},
+		{in: "two\nlines", help: `two\nlines`, label: `two\nlines`},
+		{in: "\\\"\n", help: `\\"\n`, label: `\\\"\n`},
+	} {
+		if got := promEscape(tc.in); got != tc.help {
+			t.Errorf("promEscape(%q) = %q, want %q", tc.in, got, tc.help)
+		}
+		if got := promEscapeLabel(tc.in); got != tc.label {
+			t.Errorf("promEscapeLabel(%q) = %q, want %q", tc.in, got, tc.label)
+		}
+	}
+}
+
 func TestConcurrentInstrumentsRaceClean(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("c", "", "k")
